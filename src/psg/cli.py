@@ -78,13 +78,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_config(args, tau: float, monitors=(), snap_every: int = 0) -> ExperimentConfig:
-    tfinal = args.tfinal
-    if tfinal is None and args.steps is None:
+def _t_final(args) -> float | None:
+    """--tfinal, or the documented 2D default T = 6 when neither --tfinal nor --steps is given."""
+    if args.tfinal is None and args.steps is None:
         if args.dim == 2:
-            tfinal = 6.0  # documented default for 2D runs
-        else:
-            raise _UsageError("one of --tfinal / --steps is required")
+            return 6.0
+        raise _UsageError("one of --tfinal / --steps is required")
+    return args.tfinal
+
+
+def _build_config(args, tau: float, monitors=(), snap_every: int = 0) -> ExperimentConfig:
     return ExperimentConfig(
         model_kind=ModelKind(args.model),
         scheme=SchemeKind(args.scheme),
@@ -92,7 +95,7 @@ def _build_config(args, tau: float, monitors=(), snap_every: int = 0) -> Experim
         kappa=args.kappa,
         tau=tau,
         n_per_axis=args.n,
-        t_final=tfinal,
+        t_final=_t_final(args),
         n_steps=args.steps,
         init=args.init,
         out_dir=args.out,
@@ -173,10 +176,10 @@ def cmd_sweep(args) -> int:
     if not taus or any(t <= 0 for t in taus):
         raise _UsageError(f"--tau-list entries must all be > 0, got {args.tau_list!r}")
 
-    # Placeholder tau that always passes validation; the sweep swaps in each
-    # listed value, so a bad entry is recorded per tau instead of aborting.
-    base_tau = args.tfinal if args.tfinal is not None else taus[0]
-    config = _build_config(args, tau=base_tau)
+    # stability_sweep swaps in each listed tau and records a bad one per tau;
+    # the base config only needs a tau that is valid for the run length.
+    t_final = _t_final(args)
+    config = _build_config(args, tau=t_final if t_final is not None else taus[0])
     args.out.mkdir(parents=True, exist_ok=True)
     sweep = stability_sweep(config, taus)
     io.write_sweep_csv(args.out / "sweep.csv", sweep)

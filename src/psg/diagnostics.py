@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,9 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import ExperimentConfig, initial_field
-from .grid import Field
-from .models import ModelSpec
-from .schemes import SchemeKind, SchemeState, StepRecord, bdf2_step, imex1_step, initial_state, kickstart_bdf2, run
+from .schemes import SchemeKind, StepRecord, _advance, run
 
 __all__ = [
     "MonitorKind",
@@ -147,7 +146,10 @@ class SweepResult:
 def _default_workers(n_jobs: int) -> int:
     env = os.environ.get(THREADS_ENV_VAR)
     if env is not None:
-        workers = int(env)
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
         if workers < 1:
             raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}")
         return min(workers, n_jobs)
@@ -208,25 +210,6 @@ def fit_order(taus: Sequence[float], errors: Sequence[float]) -> float:
     return float(np.polyfit(np.log(taus), np.log(errors), 1)[0])
 
 
-def _steps_for(t_final: float, tau: float) -> int:
-    steps = round(t_final / tau)
-    if steps < 1 or abs(steps * tau - t_final) > 1e-9 * max(1.0, t_final):
-        raise ValueError(f"t_final = {t_final} is not an integer multiple of tau = {tau}")
-    return steps
-
-
-def _final_field(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, n_steps: int) -> Field:
-    if scheme is SchemeKind.BDF2:
-        state: SchemeState = kickstart_bdf2(u0, model, tau)
-        stepper = bdf2_step
-    else:
-        state = initial_state(u0, model, scheme, tau)
-        stepper = imex1_step
-    while state.step_index < n_steps:
-        state = stepper(state)
-    return state.u_curr
-
-
 def convergence_order(
     config: ExperimentConfig,
     scheme: SchemeKind,
@@ -247,14 +230,16 @@ def convergence_order(
         raise ValueError(f"tau_base must be > 0, got {tau_base}")
     taus = [tau_base / 2**level for level in range(levels)]
     tau_ref = tau_base / 2 ** (levels + 2)
-    step_counts = [_steps_for(t_final, tau) for tau in taus]
-    ref_steps = _steps_for(t_final, tau_ref)
+    step_counts = [dataclasses.replace(config, tau=tau, t_final=t_final, n_steps=None).step_count
+                   for tau in (*taus, tau_ref)]
 
     u0 = initial_field(config)
-    model = config.model
-    u_ref = _final_field(u0, model, scheme, tau_ref, ref_steps)
-    errors = [
-        float(np.max(np.abs(_final_field(u0, model, scheme, tau, steps).values - u_ref.values)))
-        for tau, steps in zip(taus, step_counts)
-    ]
+
+    def final_values(tau: float, n_steps: int) -> np.ndarray:
+        for state in itertools.islice(_advance(u0, config.model, scheme, tau), n_steps):
+            pass
+        return state.u_curr.values
+
+    u_ref = final_values(tau_ref, step_counts[-1])
+    errors = [float(np.max(np.abs(final_values(tau, steps) - u_ref))) for tau, steps in zip(taus, step_counts)]
     return fit_order(taus, errors)

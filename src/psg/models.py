@@ -82,15 +82,22 @@ def potential_values(kind: ModelKind, u_samples) -> np.ndarray:
 def energy(model: ModelSpec, u: Field) -> float:
     """E(u) = integral of kappa^2/2 |grad u|^2 + F(u).
 
-    The gradient term uses spectral first derivatives per axis; this agrees
-    with integrating -u*Lap(u) to roundoff and is numerically symmetric.
+    The gradient term uses spectral first derivatives per axis plus the
+    Nyquist mode they zero, so it agrees with integrating -u*Lap(u) to
+    roundoff (the discrete energy the schemes dissipate) and is numerically
+    symmetric.
     """
+    grid = u.grid
     grad = 0.0
-    for axis in range(u.grid.dim):
+    for axis in range(grid.dim):
         du = first_derivative(u, axis)
-        grad += 0.5 * model.kappa**2 * integrate(Field(u.grid, du.values**2))
-    potential = integrate(Field(u.grid, potential_values(model.kind, u.values)))
-    return grad + potential
+        grad += 0.5 * model.kappa**2 * integrate(Field(grid, du.values**2))
+    potential = integrate(Field(grid, potential_values(model.kind, u.values)))
+    # An axis's Nyquist coefficients are the (-1)^j-weighted sums of u along it.
+    n, dim = grid.n_per_axis, grid.dim
+    sign = (-1.0) ** np.arange(n)
+    nyquist = sum(float(np.sum(np.tensordot(sign, u.values, axes=(0, axis)) ** 2)) for axis in range(dim))
+    return grad + potential + model.kappa**2 / 8.0 * (2.0 * np.pi) ** dim * n ** (1 - dim) * nyquist
 
 
 def modified_energy(model: ModelSpec, u_curr: Field, u_prev: Field, tau: float) -> float:
@@ -99,8 +106,12 @@ def modified_energy(model: ModelSpec, u_curr: Field, u_prev: Field, tau: float) 
         raise ValueError("u_curr and u_prev live on different grids")
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    increment = integrate(Field(u_curr.grid, (u_curr.values - u_prev.values) ** 2))
-    return energy(model, u_curr) + increment / (4.0 * tau)
+    return energy(model, u_curr) + _increment_energy(u_curr, u_prev, tau)
+
+
+def _increment_energy(u_curr: Field, u_prev: Field, tau: float) -> float:
+    """(1/(4*tau)) * ||u_curr - u_prev||^2, the term modified_energy adds to E(u_curr)."""
+    return integrate(Field(u_curr.grid, (u_curr.values - u_prev.values) ** 2)) / (4.0 * tau)
 
 
 def rescale_general_to_standard(p: GeneralModelParams) -> StandardForm:

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .grid import Field, NonFiniteError, helmholtz_solve
-from .models import ModelSpec, energy, modified_energy, nonlinearity
+from .models import ModelSpec, _increment_energy, energy, nonlinearity
 
 __all__ = [
     "SchemeKind",
@@ -128,18 +128,31 @@ def kickstart_bdf2(u0: Field, model: ModelSpec, tau: float) -> SchemeState:
 def _record(state: SchemeState) -> StepRecord:
     u = state.u_curr
     u_min, u_max = u.min(), u.max()
+    e = energy(state.model, u)
     mod = None
     if state.u_prev is not None:
-        mod = modified_energy(state.model, u, state.u_prev, state.tau)
+        mod = e + _increment_energy(u, state.u_prev, state.tau)
     return StepRecord(
         step_index=state.step_index,
         t=state.t_curr,
-        energy=energy(state.model, u),
+        energy=e,
         modified_energy=mod,
         u_min=u_min,
         u_max=u_max,
         linf=max(abs(u_min), abs(u_max)),
     )
+
+
+def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float) -> Iterator[SchemeState]:
+    """Yield the state after steps 1, 2, ... without end; the caller decides when to stop."""
+    if scheme is SchemeKind.BDF2:
+        state, stepper = kickstart_bdf2(u0, model, tau), bdf2_step
+        yield state
+    else:
+        state, stepper = initial_state(u0, model, scheme, tau), imex1_step
+    while True:
+        state = stepper(state)
+        yield state
 
 
 def run(
@@ -154,7 +167,7 @@ def run(
 
     Observers are invoked as observer(state, record) after each step.
     Aborts with NonFiniteError naming the first bad step if any iterate
-    stops being finite. Deterministic given identical inputs.
+    or its diagnostics stop being finite. Deterministic given identical inputs.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -162,33 +175,18 @@ def run(
         raise ValueError(f"tau must be > 0, got {tau}")
 
     records: list[StepRecord] = []
-
-    def emit(state: SchemeState) -> None:
-        rec = _record(state)
-        records.append(rec)
+    states = _advance(u0, model, scheme, tau)
+    for step in range(1, n_steps + 1):
+        # Overflow in the explicit term or the energy shows up as non-finite
+        # values, which the Field constructor rejects; silence the intermediate
+        # numpy warnings for the step and its record only.
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                state = next(states)
+                record = _record(state)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"non-finite field values at step {step}") from exc
+        records.append(record)
         for obs in observers:
-            obs(state, rec)
-
-    # Overflow in the explicit term shows up as non-finite values, which the
-    # Field constructor rejects; silence the intermediate numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if scheme is SchemeKind.BDF2:
-            try:
-                state = kickstart_bdf2(u0, model, tau)
-                emit(state)
-            except NonFiniteError as exc:
-                raise NonFiniteError("non-finite field values at step 1") from exc
-            stepper = bdf2_step
-        else:
-            state = initial_state(u0, model, scheme, tau)
-            stepper = imex1_step
-
-        while state.step_index < n_steps:
-            next_index = state.step_index + 1
-            try:
-                state = stepper(state)
-                emit(state)
-            except NonFiniteError as exc:
-                raise NonFiniteError(f"non-finite field values at step {next_index}") from exc
-
+            obs(state, record)
     return records

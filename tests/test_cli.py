@@ -164,6 +164,19 @@ class TestSweepCommand:
         assert sweep_row[1] == "false"
         assert float(sweep_row[4]) == float(series_rows[-1][2])
 
+    def test_2d_default_tfinal_isolates_bad_tau(self, tmp_path):
+        # T defaults to 6 in 2D; 0.7 does not divide it and is recorded, 0.5 runs.
+        out = tmp_path / "sw2"
+        code = main([
+            "sweep", "--model", "sg", "--scheme", "imex1", "--dim", "2", "--kappa", "0.2",
+            "--n", "16", "--init", "pi_sin_sin", "--tau-list", "0.7,0.5", "--out", str(out),
+        ])
+        assert code == 2
+        bad, good = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert float(bad[0]) == 0.7 and bad[1:] == ["error", "", "error", ""]
+        assert float(good[0]) == 0.5 and good[1:4] == ["false", "", "false"]
+        assert np.isfinite(float(good[4]))
+
     def test_bad_tau_list(self, tmp_path):
         assert main(self.sweep_args(tmp_path / "x", "0.1,-2")) == 1
         assert main(self.sweep_args(tmp_path / "x", "abc")) == 1

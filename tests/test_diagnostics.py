@@ -156,9 +156,10 @@ class TestStabilitySweep:
         monkeypatch.setenv("PSG_THREADS", "2")
         sweep = stability_sweep(demo_config(t_final=10.0), [0.5, 1.0])
         assert sweep.errors == (None, None)
-        monkeypatch.setenv("PSG_THREADS", "0")
-        with pytest.raises(ValueError):
-            stability_sweep(demo_config(t_final=10.0), [0.5])
+        for bad in ("0", "two"):
+            monkeypatch.setenv("PSG_THREADS", bad)
+            with pytest.raises(ValueError, match=f"PSG_THREADS.*'{bad}'"):
+                stability_sweep(demo_config(t_final=10.0), [0.5])
 
 
 class TestConvergenceOrder:
@@ -180,9 +181,9 @@ class TestConvergenceOrder:
 
     def test_non_commensurate_rejected(self):
         config = demo_config()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not an integer multiple"):
             convergence_order(config, SchemeKind.IMEX1, tau_base=0.3, levels=3, t_final=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="levels must be >= 3"):
             convergence_order(config, SchemeKind.IMEX1, tau_base=0.1, levels=2, t_final=1.0)
 
     def test_linear_problem_against_heat_kernel(self):

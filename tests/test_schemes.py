@@ -4,6 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import psg.models
+import psg.schemes
 
 from psg import (
     Field,
@@ -198,6 +202,23 @@ class TestGuarantees:
                 records = run(u0, SG, SchemeKind.BDF2, tau, 50)
                 assert not energy_monitor(records, modified=True).violated
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kappa=st.floats(0.1, 1.0),
+        tau=st.floats(1e-9, 0.5),  # below ~1e-21 a step's rounding, squared over 4*tau, outgrows the slack
+        coeffs=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+        amplitude=st.floats(0.0, np.pi),
+    )
+    def test_bdf2_modified_energy_decay_property(self, kappa, tau, coeffs, amplitude):
+        """bdf2 dissipates E + ||u_n - u_{n-1}||^2/(4 tau) for tau <= 1/2 and any |u0| <= pi."""
+        grid = TorusGrid(1, 32)
+        (x,) = grid.coords()
+        poly = sum(a * np.cos(m * x) + b * np.sin(m * x)
+                   for m, (a, b) in enumerate(zip(coeffs[::2], coeffs[1::2])))
+        u0 = Field(grid, amplitude * poly / max(np.max(np.abs(poly)), 1.0))
+        records = run(u0, ModelSpec(ModelKind.SINE_GORDON, kappa), SchemeKind.BDF2, tau, 50)
+        assert not energy_monitor(records, modified=True).violated
+
 
 class TestRun:
     def test_step_count_and_time(self):
@@ -231,6 +252,22 @@ class TestRun:
             assert record.energy == energy(SG, u_curr)
             assert record.modified_energy == modified_energy(SG, u_curr, u_prev, 0.25)
             assert record.linf == u_curr.linf()
+
+    @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
+    def test_one_energy_per_record(self, scheme, monkeypatch):
+        calls = []
+
+        def counted(model, u):
+            calls.append(u)
+            return energy(model, u)
+
+        # modified_energy looks energy up in psg.models, the recorder in psg.schemes
+        monkeypatch.setattr(psg.models, "energy", counted)
+        monkeypatch.setattr(psg.schemes, "energy", counted)
+        u0 = Field.from_function(TorusGrid(1, 64), lambda x: 0.5 * np.sin(x))
+        records = run(u0, SG, scheme, 0.1, 7)
+        assert len(records) == 7
+        assert len(calls) == 7
 
     def test_observer_errors_propagate(self):
         u0 = Field.zeros(TorusGrid(1, 64))
