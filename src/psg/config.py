@@ -48,13 +48,13 @@ class ExperimentConfig:
     monitors: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
+        if not 0.0 < self.tau < np.inf:
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
         if (self.t_final is None) == (self.n_steps is None):
             raise ValueError("exactly one of t_final / n_steps must be given")
         if self.t_final is not None:
-            if self.t_final <= 0:
-                raise ValueError(f"t_final must be > 0, got {self.t_final}")
+            if not 0.0 < self.t_final / self.tau < np.inf:
+                raise ValueError(f"t_final / tau must be finite and > 0, got {self.t_final} / {self.tau}")
             steps = round(self.t_final / self.tau)
             if steps < 1 or abs(steps * self.tau - self.t_final) > _COMMENSURATE_RTOL * max(1.0, self.t_final):
                 raise ValueError(

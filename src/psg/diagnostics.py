@@ -171,8 +171,8 @@ def stability_sweep(
     taus = tuple(float(t) for t in tau_values)
     if not taus:
         raise ValueError("tau_values must be nonempty")
-    if any(t <= 0 for t in taus):
-        raise ValueError(f"tau_values must all be > 0, got {taus}")
+    if not all(0.0 < t < np.inf for t in taus):
+        raise ValueError(f"tau_values must all be finite and > 0, got {taus}")
 
     def one(tau: float) -> tuple[tuple[MonitorReport, ...], float]:
         cfg = dataclasses.replace(config, tau=tau)

@@ -148,21 +148,6 @@ class Field:
     def zeros(cls, grid: TorusGrid) -> "Field":
         return cls(grid, np.zeros(grid.shape))
 
-    # Small arithmetic surface so schemes read like the update formulas.
-    def __add__(self, other: "Field") -> "Field":
-        return Field(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "Field") -> "Field":
-        return Field(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "Field":
-        return Field(self.grid, self.values * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Field":
-        return Field(self.grid, -self.values)
-
     def min(self) -> float:
         return float(self.values.min())
 

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Field, first_derivative, integrate
+from .grid import Field, integrate, laplacian
 
 __all__ = [
     "ModelKind",
@@ -41,8 +41,8 @@ class ModelSpec:
     kappa: float
 
     def __post_init__(self) -> None:
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
+        if not 0.0 < self.kappa < np.inf:
+            raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
 
 
 @dataclass(frozen=True)
@@ -80,24 +80,14 @@ def potential_values(kind: ModelKind, u_samples) -> np.ndarray:
 
 
 def energy(model: ModelSpec, u: Field) -> float:
-    """E(u) = integral of kappa^2/2 |grad u|^2 + F(u).
+    """E(u) = integral of F(u) - kappa^2/2 * u * Lap(u).
 
-    The gradient term uses spectral first derivatives per axis plus the
-    Nyquist mode they zero, so it agrees with integrating -u*Lap(u) to
-    roundoff (the discrete energy the schemes dissipate) and is numerically
-    symmetric.
+    The gradient term -kappa^2/2 * integral(u * Lap u) uses the spectral
+    Laplacian the schemes invert, Nyquist mode included, so this is the
+    discrete energy the schemes dissipate.
     """
-    grid = u.grid
-    grad = 0.0
-    for axis in range(grid.dim):
-        du = first_derivative(u, axis)
-        grad += 0.5 * model.kappa**2 * integrate(Field(grid, du.values**2))
-    potential = integrate(Field(grid, potential_values(model.kind, u.values)))
-    # An axis's Nyquist coefficients are the (-1)^j-weighted sums of u along it.
-    n, dim = grid.n_per_axis, grid.dim
-    sign = (-1.0) ** np.arange(n)
-    nyquist = sum(float(np.sum(np.tensordot(sign, u.values, axes=(0, axis)) ** 2)) for axis in range(dim))
-    return grad + potential + model.kappa**2 / 8.0 * (2.0 * np.pi) ** dim * n ** (1 - dim) * nyquist
+    density = potential_values(model.kind, u.values) - 0.5 * model.kappa**2 * u.values * laplacian(u).values
+    return integrate(Field(u.grid, density))
 
 
 def modified_energy(model: ModelSpec, u_curr: Field, u_prev: Field, tau: float) -> float:

@@ -91,8 +91,8 @@ def initial_state(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float) -
 
 
 def _imex_advance(u: Field, model: ModelSpec, tau: float) -> Field:
-    rhs = u + tau * nonlinearity(model.kind, u)
-    return helmholtz_solve(rhs, model.kappa, a=1.0, b=tau)
+    rhs = u.values + tau * nonlinearity(model.kind, u).values
+    return helmholtz_solve(Field(u.grid, rhs), model.kappa, a=1.0, b=tau)
 
 
 def imex1_step(state: SchemeState) -> SchemeState:
@@ -110,10 +110,11 @@ def bdf2_step(state: SchemeState) -> SchemeState:
     if state.u_prev is None:
         raise ValueError("bdf2_step requires u_prev (kick-start the scheme first)")
     model, tau = state.model, state.tau
-    f_curr = nonlinearity(model.kind, state.u_curr)
-    f_prev = nonlinearity(model.kind, state.u_prev)
-    rhs = 2.0 * state.u_curr - 0.5 * state.u_prev + tau * (2.0 * f_curr - f_prev)
-    u_next = helmholtz_solve(rhs, model.kappa, a=1.5, b=tau)
+    u_curr, u_prev = state.u_curr.values, state.u_prev.values
+    f_curr = nonlinearity(model.kind, state.u_curr).values
+    f_prev = nonlinearity(model.kind, state.u_prev).values
+    rhs = 2.0 * u_curr - 0.5 * u_prev + tau * (2.0 * f_curr - f_prev)
+    u_next = helmholtz_solve(Field(state.u_curr.grid, rhs), model.kappa, a=1.5, b=tau)
     return SchemeState(state.scheme, state.model, tau, state.step_index + 1, u_next, state.u_curr)
 
 

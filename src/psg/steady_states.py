@@ -110,11 +110,17 @@ def _check_sign(sign: int) -> int:
     return sign
 
 
+def _check_kappa(kappa: float) -> None:
+    if not 0.0 < kappa < np.inf:
+        raise ValueError(f"kappa must be finite and > 0, got {kappa}")
+
+
 def kink_eval(kappa: float, sign: int, c: float, x):
     """Separatrix profile sign * 2*arcsin(tanh(x/kappa + c)); values in (-pi, pi)."""
     _check_sign(sign)
-    if kappa <= 0:
-        raise ValueError(f"kappa must be > 0, got {kappa}")
+    _check_kappa(kappa)
+    if not np.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
     x = np.asarray(x, dtype=np.float64)
     out = sign * 2.0 * np.arcsin(np.tanh(x / kappa + c))
     return float(out) if out.ndim == 0 else out
@@ -123,8 +129,7 @@ def kink_eval(kappa: float, sign: int, c: float, x):
 def kink_derivative(kappa: float, sign: int, c: float, x):
     """Closed-form derivative of kink_eval: sign * (2/kappa) * sech(x/kappa + c)."""
     _check_sign(sign)
-    if kappa <= 0:
-        raise ValueError(f"kappa must be > 0, got {kappa}")
+    _check_kappa(kappa)
     x = np.asarray(x, dtype=np.float64)
     out = sign * 2.0 / (kappa * np.cosh(x / kappa + c))
     return float(out) if out.ndim == 0 else out
@@ -146,8 +151,7 @@ class SteadyStateCase:
     amplitude: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
+        _check_kappa(self.kappa)
         _check_sign(self.sign)
         by_c = classify(self.C)
         if self.regime is Regime.NO_BOUNDED:
@@ -221,8 +225,7 @@ def build_periodic_orbit(C: float, kappa: float, quad_points: int = 64, samples:
     """
     if classify(C) is not Regime.PERIODIC:
         raise RegimeError(f"C = {C} is not in the periodic regime (-1 < C < 1)")
-    if kappa <= 0:
-        raise ValueError(f"kappa must be > 0, got {kappa}")
+    _check_kappa(kappa)
     if quad_points < 16:
         raise ValueError(f"quad_points must be >= 16, got {quad_points}")
     if samples < 5:
@@ -319,6 +322,7 @@ def residual(u, kappa: float, *, spacing: float | None = None, periodic: bool | 
     spectral for periodic samples and 4th-order centered finite differences
     on the interior for windows.
     """
+    _check_kappa(kappa)
     if isinstance(u, Field):
         if u.grid.dim != 1:
             raise ValueError("residual expects 1D samples")

@@ -1,13 +1,18 @@
 """End-to-end CLI contract: flags, files, exit codes, determinism."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import psg
 from psg import Field, ModelKind, ModelSpec, TorusGrid, energy, read_snapshot, write_snapshot
 from psg.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def read_series(path):
@@ -230,8 +235,65 @@ class TestPotentialTable:
 
 
 def test_module_entry_point():
+    # The child interpreter finds psg where this one did, also without an install.
+    src = str(Path(psg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
-        [sys.executable, "-m", "psg", "--help"], capture_output=True, text=True, timeout=60
+        [sys.executable, "-m", "psg", "--help"], capture_output=True, text=True, timeout=60, env=env
     )
     assert result.returncode == 0
     assert "run" in result.stdout and "steady" in result.stdout
+
+
+# tests/data/series_<name>.csv were written by the steppers built on Field
+# operators and the first-derivative energy. Reworks of the step or the
+# energy must keep the iterates' digits and the energies to roundoff.
+GOLDEN_SERIES = {
+    "sg1d_imex1": ["--model", "sg", "--scheme", "imex1", "--dim", "1", "--kappa", "0.1", "--tau", "0.1",
+                   "--n", "64", "--init", "pi_sin"],
+    "sg2d_bdf2": ["--model", "sg", "--scheme", "bdf2", "--dim", "2", "--kappa", "0.2", "--tau", "0.05",
+                  "--n", "32", "--init", "pi_sin_sin"],
+    "ac2d_bdf2": ["--model", "ac", "--scheme", "bdf2", "--dim", "2", "--kappa", "0.2", "--tau", "0.05",
+                  "--n", "32", "--init", "sin_sin"],
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_SERIES))
+def test_golden_series(name, tmp_path):
+    out = tmp_path / name
+    assert main(["run", *GOLDEN_SERIES[name], "--steps", "40", "--out", str(out)]) == 0
+    rows = read_series(out / "series.csv")
+    golden = read_series(DATA / f"series_{name}.csv")
+    assert len(rows) == len(golden) == 40
+    for row, ref in zip(rows, golden):
+        assert row[:2] + row[4:] == ref[:2] + ref[4:]  # step, t, umin, umax, linf: same digits
+        for col in (2, 3):  # energy, modified_energy
+            assert float(row[col]) == pytest.approx(float(ref[col]), rel=1e-12, abs=0.0)
+
+
+def _run_argv(kappa="0.1", tau="0.1", length=("--steps", "5")):
+    return ["run", "--model", "sg", "--scheme", "imex1", "--dim", "1", "--n", "16", "--init", "pi_sin",
+            "--kappa", kappa, "--tau", tau, *length]
+
+
+NON_FINITE_INPUTS = {
+    "run-tfinal-inf": _run_argv(length=("--tfinal", "inf")),
+    "run-tfinal-over-tau-overflows": _run_argv(tau="1e-300", length=("--tfinal", "1e300")),
+    "run-kappa-nan": _run_argv(kappa="nan"),
+    "run-kappa-inf": _run_argv(kappa="inf"),
+    "run-tau-nan": _run_argv(tau="nan"),
+    "run-tau-inf": _run_argv(tau="inf"),
+    "sweep-tau-list-nan": ["sweep", "--model", "sg", "--scheme", "imex1", "--dim", "1", "--kappa", "0.1",
+                           "--n", "16", "--tfinal", "1", "--init", "pi_sin", "--tau-list", "0.1,nan"],
+    "steady-kink-kappa-nan": ["steady", "--case", "kink", "--kappa", "nan"],
+    "steady-kink-c-nan": ["steady", "--case", "kink", "--c", "nan"],
+    "steady-periodic-kappa-nan": ["steady", "--case", "periodic", "--kappa", "nan"],
+    "steady-zero-kappa-inf": ["steady", "--case", "zero", "--kappa", "inf"],
+}
+
+
+@pytest.mark.parametrize("argv", list(NON_FINITE_INPUTS.values()), ids=list(NON_FINITE_INPUTS))
+def test_non_finite_input_rejected(argv, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -65,16 +65,6 @@ class TestField:
         with pytest.raises(NonFiniteError):
             Field(TorusGrid(1, 8), values)
 
-    def test_arithmetic(self):
-        grid = TorusGrid(1, 8)
-        f = Field.constant(grid, 2.0)
-        g = Field.constant(grid, 3.0)
-        assert np.all((f + g).values == 5.0)
-        assert np.all((f - g).values == -1.0)
-        assert np.all((2.0 * f).values == 4.0)
-        assert np.all((-f).values == -2.0)
-        assert f.linf() == 2.0
-
 
 class TestTransforms:
     def test_constant_field_single_coefficient(self):

@@ -11,9 +11,9 @@ from psg import (
     ModelSpec,
     TorusGrid,
     energy,
+    first_derivative,
     helmholtz_solve,
     integrate,
-    laplacian,
     modified_energy,
     nonlinearity,
     potential_values,
@@ -27,6 +27,21 @@ ENERGY_PI_SIN_KAPPA01 = -1.756578596996193
 
 SG = ModelKind.SINE_GORDON
 AC = ModelKind.ALLEN_CAHN
+
+
+def _derivative_form_gradient_energy(kappa: float, u: Field) -> float:
+    """kappa^2/2 * integral |grad u|^2 from per-axis spectral first derivatives.
+
+    first_derivative zeroes the Nyquist mode; its share is added back from
+    each axis's (-1)^j-weighted sums of u, which are its Nyquist coefficients.
+    """
+    grid = u.grid
+    n, dim = grid.n_per_axis, grid.dim
+    grad = sum(0.5 * kappa**2 * integrate(Field(grid, first_derivative(u, axis).values ** 2))
+               for axis in range(dim))
+    sign = (-1.0) ** np.arange(n)
+    nyquist = sum(float(np.sum(np.tensordot(sign, u.values, axes=(0, axis)) ** 2)) for axis in range(dim))
+    return grad + kappa**2 / 8.0 * (2.0 * np.pi) ** dim * n ** (1 - dim) * nyquist
 
 
 class TestSpecs:
@@ -118,15 +133,16 @@ class TestEnergy:
         assert gradient_term == pytest.approx(kappa**2 * np.pi / 2, abs=1e-12)
 
     def test_gradient_term_matches_laplacian_form(self, rng):
-        # The first-derivative form agrees with -kappa^2/2 * integral(u * Lap u),
-        # also on rough data, whose Nyquist mode first derivatives zero.
+        # energy() takes its gradient term in the Laplacian form
+        # -kappa^2/2 * integral(u * Lap u); it equals the first-derivative form
+        # plus the Nyquist mode first derivatives zero, also on rough data.
         for dim, n in [(1, 128), (2, 32)]:
             grid = TorusGrid(dim, n)
             model = ModelSpec(SG, 0.7)
             for u in (random_smooth_field(grid, rng), Field(grid, rng.standard_normal(grid.shape))):
-                derivative_form = energy(model, u) - integrate(Field(grid, potential_values(SG, u.values)))
-                laplacian_form = -0.5 * model.kappa**2 * integrate(Field(grid, u.values * laplacian(u).values))
-                assert derivative_form == pytest.approx(laplacian_form, rel=1e-12, abs=1e-12)
+                laplacian_form = energy(model, u) - integrate(Field(grid, potential_values(SG, u.values)))
+                derivative_form = _derivative_form_gradient_energy(model.kappa, u)
+                assert laplacian_form == pytest.approx(derivative_form, rel=1e-12, abs=1e-12)
 
     def test_shift_by_two_pi_invariant(self, rng):
         grid = TorusGrid(1, 64)
@@ -140,7 +156,7 @@ class TestEnergy:
         u = random_smooth_field(grid, rng)
         for kind in (SG, AC):
             model = ModelSpec(kind, 0.5)
-            assert energy(model, -u) == pytest.approx(energy(model, u), abs=1e-12)
+            assert energy(model, Field(grid, -u.values)) == pytest.approx(energy(model, u), abs=1e-12)
 
 
 class TestModifiedEnergy:
@@ -186,14 +202,14 @@ class TestRescaling:
         grid = TorusGrid(1, 64)
         (x,) = grid.coords()
         v = Field(grid, 0.7 * np.sin(x) + 0.2 * np.cos(2 * x))
-        u = form.amplitude_scale * v
+        u = Field(grid, form.amplitude_scale * v.values)
 
         h_general = 0.05
         h_standard = form.time_scale * h_general
         for _ in range(40):
-            rhs_general = v + h_general * params.gamma * Field(grid, np.sin(params.beta * v.values))
-            v = helmholtz_solve(rhs_general, params.kappa, a=1.0, b=h_general)
-            rhs_standard = u + h_standard * Field(grid, np.sin(u.values))
-            u = helmholtz_solve(rhs_standard, form.standard_kappa, a=1.0, b=h_standard)
+            rhs_general = v.values + h_general * params.gamma * np.sin(params.beta * v.values)
+            v = helmholtz_solve(Field(grid, rhs_general), params.kappa, a=1.0, b=h_general)
+            rhs_standard = u.values + h_standard * np.sin(u.values)
+            u = helmholtz_solve(Field(grid, rhs_standard), form.standard_kappa, a=1.0, b=h_standard)
         mapped_back = u.values / form.amplitude_scale
         assert np.max(np.abs(mapped_back - v.values)) <= 1e-12

@@ -151,7 +151,7 @@ class TestSymmetries:
         grid = TorusGrid(1, 128)
         u0 = random_smooth_field(grid, rng)
         plus = run(u0, SG, scheme, 0.2, 20)
-        minus = run(-u0, SG, scheme, 0.2, 20)
+        minus = run(Field(grid, -u0.values), SG, scheme, 0.2, 20)
         assert abs(plus[-1].u_max + minus[-1].u_min) <= 1e-13
         assert abs(plus[-1].energy - minus[-1].energy) <= 1e-12
 
