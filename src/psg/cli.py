@@ -84,6 +84,8 @@ def _t_final(args) -> float | None:
         if args.dim == 2:
             return 6.0
         raise _UsageError("one of --tfinal / --steps is required")
+    if args.tfinal is not None and not 0.0 < args.tfinal < np.inf:
+        raise _UsageError(f"--tfinal must be finite and > 0, got {args.tfinal!r}")
     return args.tfinal
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -236,9 +235,10 @@ def convergence_order(
     u0 = initial_field(config)
 
     def final_values(tau: float, n_steps: int) -> np.ndarray:
-        for state in itertools.islice(_advance(u0, config.model, scheme, tau), n_steps):
-            pass
-        return state.u_curr.values
+        states = _advance(u0, config.model, scheme, tau)
+        for _ in range(n_steps - 1):
+            next(states)  # dropped at once, so a step never holds its predecessor's spectrum
+        return next(states).u_curr.values
 
     u_ref = final_values(tau_ref, step_counts[-1])
     errors = [float(np.max(np.abs(final_values(tau, steps) - u_ref))) for tau, steps in zip(taus, step_counts)]

@@ -202,22 +202,23 @@ def inverse_transform(c: SpectralCoeffs) -> Field:
     return Field(g, values)
 
 
-def _apply_multiplier(f: Field, mult: np.ndarray) -> Field:
+def _apply_multiplier(f: Field, mult: np.ndarray) -> tuple[Field, np.ndarray]:
     axes = tuple(range(f.grid.dim))
     spec = np.fft.rfftn(f.values, axes=axes)
-    return Field(f.grid, np.fft.irfftn(spec * mult, s=f.grid.shape, axes=axes))
+    spec *= mult
+    return Field(f.grid, np.fft.irfftn(spec, s=f.grid.shape, axes=axes)), spec
 
 
 def laplacian(f: Field) -> Field:
     """Spectral Laplacian: coefficient at k scaled by -|k|^2."""
-    return _apply_multiplier(f, -f.grid._rfft_k2)
+    return _apply_multiplier(f, -f.grid._rfft_k2)[0]
 
 
 def first_derivative(f: Field, axis: int = 0) -> Field:
     """Spectral first derivative along one axis (multiplier i*k, Nyquist zeroed)."""
     if not 0 <= axis < f.grid.dim:
         raise ValueError(f"axis {axis} out of range for dim {f.grid.dim}")
-    return _apply_multiplier(f, f.grid._rfft_deriv[axis])
+    return _apply_multiplier(f, f.grid._rfft_deriv[axis])[0]
 
 
 def helmholtz_solve(rhs: Field, kappa: float, a: float, b: float) -> Field:
@@ -227,12 +228,17 @@ def helmholtz_solve(rhs: Field, kappa: float, a: float, b: float) -> Field:
     scheme with a=1, b=tau and the two-step scheme with a=3/2, b=tau.
     Requires a > 0 (otherwise the operator kills constants) and b >= 0.
     """
+    return _helmholtz_solve(rhs, kappa, a, b)[0]
+
+
+def _helmholtz_solve(rhs: Field, kappa: float, a: float, b: float) -> tuple[Field, np.ndarray]:
+    """helmholtz_solve, also returning the solution's rfftn half spectrum it inverts from."""
     if a <= 0:
         raise ValueError(f"a must be > 0 (operator not invertible on constants), got {a}")
     if b < 0:
         raise ValueError(f"b must be >= 0, got {b}")
-    if kappa <= 0:
-        raise ValueError(f"kappa must be > 0, got {kappa}")
+    if not 0.0 < kappa < np.inf:
+        raise ValueError(f"kappa must be finite and > 0, got {kappa}")
     return _apply_multiplier(rhs, 1.0 / (a + b * kappa**2 * rhs.grid._rfft_k2))
 
 

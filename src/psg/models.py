@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Field, integrate, laplacian
+from .grid import Field, NonFiniteError, integrate
 
 __all__ = [
     "ModelKind",
@@ -54,8 +54,9 @@ class GeneralModelParams:
     gamma: float
 
     def __post_init__(self) -> None:
-        if self.kappa <= 0 or self.beta <= 0 or self.gamma <= 0:
-            raise ValueError("kappa, beta, gamma must all be > 0")
+        for name in ("kappa", "beta", "gamma"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
 
 
 class StandardForm(NamedTuple):
@@ -86,8 +87,17 @@ def energy(model: ModelSpec, u: Field) -> float:
     Laplacian the schemes invert, Nyquist mode included, so this is the
     discrete energy the schemes dissipate.
     """
-    density = potential_values(model.kind, u.values) - 0.5 * model.kappa**2 * u.values * laplacian(u).values
-    return integrate(Field(u.grid, density))
+    return _energy(model, u, np.fft.rfftn(u.values))
+
+
+def _energy(model: ModelSpec, u: Field, u_hat: np.ndarray) -> float:
+    """energy(model, u) from u_hat = rfftn(u.values): -integral(u * Lap u) by Parseval."""
+    g = u.grid
+    w = np.r_[1.0, np.full(g.n_per_axis // 2 - 1, 2.0), 1.0]  # columns 0 and n/2 have no conjugate twin
+    gradient = float(np.sum(w * g._rfft_k2 * (u_hat.real**2 + u_hat.imag**2))) * g.spacing**g.dim / g.size
+    if not np.isfinite(gradient):
+        raise NonFiniteError("gradient energy is not finite")
+    return integrate(Field(g, potential_values(model.kind, u.values))) + 0.5 * model.kappa**2 * gradient
 
 
 def modified_energy(model: ModelSpec, u_curr: Field, u_prev: Field, tau: float) -> float:

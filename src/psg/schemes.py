@@ -13,13 +13,13 @@ step with exactly one imex1 step so runs are reproducible.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .grid import Field, NonFiniteError, helmholtz_solve
-from .models import ModelSpec, _increment_energy, energy, nonlinearity
+from .grid import Field, NonFiniteError, _helmholtz_solve
+from .models import ModelSpec, _energy, _increment_energy, energy, nonlinearity
 
 __all__ = [
     "SchemeKind",
@@ -49,6 +49,9 @@ class SchemeState:
     step_index: int
     u_curr: Field
     u_prev: Field | None = None
+    # The half spectrum the solve inverted to u_curr, and f(u_prev); recomputed when absent.
+    u_hat: np.ndarray | None = field(default=None, compare=False, repr=False)
+    f_prev: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.tau <= 0:
@@ -90,17 +93,19 @@ def initial_state(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float) -
     return SchemeState(scheme, model, tau, 0, u0, None)
 
 
-def _imex_advance(u: Field, model: ModelSpec, tau: float) -> Field:
-    rhs = u.values + tau * nonlinearity(model.kind, u).values
-    return helmholtz_solve(Field(u.grid, rhs), model.kappa, a=1.0, b=tau)
+def _imex_advance(u: Field, model: ModelSpec, tau: float) -> tuple[Field, np.ndarray, np.ndarray]:
+    """One imex1 step from u: the new field, its half spectrum and f(u)."""
+    f = nonlinearity(model.kind, u).values
+    u_next, u_hat = _helmholtz_solve(Field(u.grid, u.values + tau * f), model.kappa, a=1.0, b=tau)
+    return u_next, u_hat, f
 
 
 def imex1_step(state: SchemeState) -> SchemeState:
     """Advance one step: u <- (1 - tau*kappa^2*Lap)^{-1} (u + tau*f(u))."""
     if state.scheme is not SchemeKind.IMEX1:
         raise ValueError(f"imex1_step requires an IMEX1 state, got {state.scheme}")
-    u_next = _imex_advance(state.u_curr, state.model, state.tau)
-    return SchemeState(state.scheme, state.model, state.tau, state.step_index + 1, u_next, state.u_curr)
+    u_next, u_hat, _ = _imex_advance(state.u_curr, state.model, state.tau)
+    return SchemeState(state.scheme, state.model, state.tau, state.step_index + 1, u_next, state.u_curr, u_hat)
 
 
 def bdf2_step(state: SchemeState) -> SchemeState:
@@ -112,24 +117,24 @@ def bdf2_step(state: SchemeState) -> SchemeState:
     model, tau = state.model, state.tau
     u_curr, u_prev = state.u_curr.values, state.u_prev.values
     f_curr = nonlinearity(model.kind, state.u_curr).values
-    f_prev = nonlinearity(model.kind, state.u_prev).values
+    f_prev = state.f_prev if state.f_prev is not None else nonlinearity(model.kind, state.u_prev).values
     rhs = 2.0 * u_curr - 0.5 * u_prev + tau * (2.0 * f_curr - f_prev)
-    u_next = helmholtz_solve(Field(state.u_curr.grid, rhs), model.kappa, a=1.5, b=tau)
-    return SchemeState(state.scheme, state.model, tau, state.step_index + 1, u_next, state.u_curr)
+    u_next, u_hat = _helmholtz_solve(Field(state.u_curr.grid, rhs), model.kappa, a=1.5, b=tau)
+    return SchemeState(state.scheme, model, tau, state.step_index + 1, u_next, state.u_curr, u_hat, f_curr)
 
 
 def kickstart_bdf2(u0: Field, model: ModelSpec, tau: float) -> SchemeState:
     """State after step 1, with u_prev = u0 and u_curr from one imex1 step of u0."""
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    u1 = _imex_advance(u0, model, tau)
-    return SchemeState(SchemeKind.BDF2, model, tau, 1, u1, u0)
+    u1, u_hat, f0 = _imex_advance(u0, model, tau)
+    return SchemeState(SchemeKind.BDF2, model, tau, 1, u1, u0, u_hat, f0)
 
 
 def _record(state: SchemeState) -> StepRecord:
     u = state.u_curr
     u_min, u_max = u.min(), u.max()
-    e = energy(state.model, u)
+    e = energy(state.model, u) if state.u_hat is None else _energy(state.model, u, state.u_hat)
     mod = None
     if state.u_prev is not None:
         mod = e + _increment_energy(u, state.u_prev, state.tau)
@@ -152,6 +157,7 @@ def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float) -> Ite
     else:
         state, stepper = initial_state(u0, model, scheme, tau), imex1_step
     while True:
+        state = replace(state, u_hat=None)  # recorded already; only the newest spectrum stays alive
         state = stepper(state)
         yield state
 
@@ -190,4 +196,5 @@ def run(
         records.append(record)
         for obs in observers:
             obs(state, record)
+        del state  # so the step that makes the next state can free this one's u_hat
     return records

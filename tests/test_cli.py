@@ -297,3 +297,15 @@ def test_non_finite_input_rejected(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("tfinal", ["inf", "nan", "-1"])
+def test_bad_tfinal_named(command, tfinal, tmp_path, capsys):
+    # The sweep's base config takes tau = t_final; the error must name --tfinal, not that tau.
+    argv = ["--model", "sg", "--scheme", "imex1", "--dim", "1", "--kappa", "0.1", "--n", "16",
+            "--init", "pi_sin", "--tfinal", tfinal, "--out", str(tmp_path / "x")]
+    argv += ["--tau", "0.1"] if command == "run" else ["--tau-list", "0.1"]
+    assert main([command, *argv]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --tfinal must be finite and > 0, got {float(tfinal)!r}\n"

@@ -4,18 +4,25 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from hypothesis import given, settings, strategies as st
 
 from psg import (
     Field,
+    ModelKind,
+    ModelSpec,
     NonFiniteError,
     TorusGrid,
+    energy,
     first_derivative,
     forward_transform,
     helmholtz_solve,
     integrate,
     inverse_transform,
     laplacian,
+    potential_values,
 )
+from psg.grid import _helmholtz_solve
+from psg.models import _energy
 from conftest import random_smooth_field
 
 # Independent quadrature oracle for integral of cos(pi*sin(x)) over [-pi, pi];
@@ -213,6 +220,9 @@ class TestHelmholtz:
             helmholtz_solve(f, kappa=1.0, a=1.0, b=-0.1)
         with pytest.raises(ValueError):
             helmholtz_solve(f, kappa=0.0, a=1.0, b=1.0)
+        for kappa in (np.nan, np.inf):  # not a NonFiniteError from the solved values
+            with pytest.raises(ValueError, match="^kappa must be finite"):
+                helmholtz_solve(f, kappa=kappa, a=1.0, b=1.0)
 
     def test_linearity(self, rng):
         grid = TorusGrid(1, 64)
@@ -221,6 +231,37 @@ class TestHelmholtz:
         combined = helmholtz_solve(Field(grid, 3.0 * f.values + g.values), 0.4, 1.0, 0.5)
         separate = 3.0 * helmholtz_solve(f, 0.4, 1.0, 0.5).values + helmholtz_solve(g, 0.4, 1.0, 0.5).values
         assert np.max(np.abs(combined.values - separate)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2]),
+        half_n=st.integers(4, 32),
+        kappa=st.floats(0.05, 1.0),
+        # b*kappa^2/a <= 4 covers both schemes (a = 1 or 3/2, b = tau <= 2);
+        # rounding in the forward operator grows with b*kappa^2*|k|^2/a.
+        a=st.floats(0.5, 2.0),
+        b=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_inverse_and_parseval_energy_property(self, dim, half_n, kappa, a, b, seed):
+        """The solve inverts a - b*kappa^2*Lap, and its half spectrum gives energy() by Parseval."""
+        grid = TorusGrid(dim, 2 * half_n)
+        rng = np.random.default_rng(seed)
+        u = Field(grid, rng.uniform(-np.pi, np.pi, grid.shape))  # rough: every mode, Nyquist included
+
+        forward = Field(grid, a * u.values - b * kappa**2 * laplacian(u).values)
+        assert np.max(np.abs(helmholtz_solve(forward, kappa, a, b).values - u.values)) <= 1e-12 * u.linf()
+        solved, u_hat = _helmholtz_solve(u, kappa, a, b)
+        recovered = a * solved.values - b * kappa**2 * laplacian(solved).values
+        assert np.max(np.abs(recovered - u.values)) <= 1e-12 * u.linf()
+
+        for kind in ModelKind:
+            model = ModelSpec(kind, kappa)
+            reference = energy(model, solved)
+            potential = integrate(Field(grid, potential_values(kind, solved.values)))
+            # relative to the sum of the terms' magnitudes, as sine-Gordon's may cancel
+            scale = integrate(Field(grid, np.abs(potential_values(kind, solved.values)))) + abs(reference - potential)
+            assert abs(_energy(model, solved, u_hat) - reference) <= 1e-12 * scale
 
 
 class TestIntegrate:

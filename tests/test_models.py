@@ -57,6 +57,14 @@ class TestSpecs:
         with pytest.raises(ValueError):
             GeneralModelParams(1.0, 1.0, -2.0)
 
+    @pytest.mark.parametrize("name", ["kappa", "beta", "gamma"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_general_params_finite(self, name, bad):
+        # unchecked, nan would give standard_kappa = nan and beta = inf would give 0.0
+        values = {"kappa": 1.0, "beta": 1.0, "gamma": 1.0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+            GeneralModelParams(**values)
+
 
 class TestNonlinearity:
     def test_sine_gordon_zeros(self):

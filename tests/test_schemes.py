@@ -21,11 +21,13 @@ from psg import (
     bdf2_step,
     energy,
     energy_monitor,
+    helmholtz_solve,
     imex1_step,
     initial_state,
     kickstart_bdf2,
     max_principle_monitor,
     modified_energy,
+    nonlinearity,
     run,
 )
 from conftest import random_smooth_field
@@ -243,31 +245,40 @@ class TestRun:
         assert run(u0, SG, SchemeKind.BDF2, 0.2, 10) == run(u0, SG, SchemeKind.BDF2, 0.2, 10)
 
     def test_records_match_recomputation(self, rng):
+        # The recorder takes E from the half spectrum the solve ended with;
+        # energy() transforms u_curr afresh, so the two agree to roundoff.
         grid = TorusGrid(1, 64)
         u0 = random_smooth_field(grid, rng)
         captured = []
-        records = run(u0, SG, SchemeKind.BDF2, 0.25, 15,
-                      observers=[lambda s, r: captured.append((s.u_curr, s.u_prev))])
-        for record, (u_curr, u_prev) in zip(records, captured):
-            assert record.energy == energy(SG, u_curr)
-            assert record.modified_energy == modified_energy(SG, u_curr, u_prev, 0.25)
-            assert record.linf == u_curr.linf()
+        records = run(u0, SG, SchemeKind.BDF2, 0.25, 15, observers=[lambda s, r: captured.append(s)])
+        for record, s in zip(records, captured):
+            assert record.energy == psg.models._energy(SG, s.u_curr, s.u_hat)
+            assert record.energy == pytest.approx(energy(SG, s.u_curr), rel=1e-12)
+            assert record.modified_energy == pytest.approx(modified_energy(SG, s.u_curr, s.u_prev, 0.25), rel=1e-12)
+            assert record.linf == s.u_curr.linf()
 
     @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
-    def test_one_energy_per_record(self, scheme, monkeypatch):
-        calls = []
+    def test_one_transform_pair_and_nonlinearity_per_step(self, scheme, monkeypatch):
+        # A recorded step is its Helmholtz solve's rfftn/irfftn pair and one
+        # evaluation of f: the energy reuses the solve's spectrum, and BDF2
+        # carries f(u_prev) over from the step before (the kick-start's f(u0)).
+        counts = {"rfftn": 0, "irfftn": 0, "nonlinearity": 0}
 
-        def counted(model, u):
-            calls.append(u)
-            return energy(model, u)
+        def counted(owner, name):
+            original = getattr(owner, name)
 
-        # modified_energy looks energy up in psg.models, the recorder in psg.schemes
-        monkeypatch.setattr(psg.models, "energy", counted)
-        monkeypatch.setattr(psg.schemes, "energy", counted)
-        u0 = Field.from_function(TorusGrid(1, 64), lambda x: 0.5 * np.sin(x))
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(np.fft, "rfftn")
+        counted(np.fft, "irfftn")
+        counted(psg.schemes, "nonlinearity")
+        u0 = Field.from_function(TorusGrid(2, 16), lambda x, y: np.sin(x) * np.cos(y))
         records = run(u0, SG, scheme, 0.1, 7)
         assert len(records) == 7
-        assert len(calls) == 7
+        assert counts == {"rfftn": 7, "irfftn": 7, "nonlinearity": 7}
 
     def test_observer_errors_propagate(self):
         u0 = Field.zeros(TorusGrid(1, 64))
@@ -278,8 +289,39 @@ class TestRun:
         with pytest.raises(OSError):
             run(u0, SG, SchemeKind.IMEX1, 0.1, 3, observers=[bad_observer])
 
+    @pytest.mark.parametrize("model", [SG, AC], ids=["sg", "ac"])
+    def test_carried_nonlinearity_bitwise(self, model, rng):
+        """BDF2 with the carried f(u_prev) steps bitwise like a stepping that evaluates both f's."""
+        grid = TorusGrid(2, 32)
+        u0 = random_smooth_field(grid, rng, target_linf=1.5)
+        tau, kappa = 0.1, model.kappa
+
+        def f(values):
+            return nonlinearity(model.kind, Field(grid, values)).values
+
+        prev = u0.values
+        curr = helmholtz_solve(Field(grid, prev + tau * f(prev)), kappa, a=1.0, b=tau).values
+        reference = [curr]
+        for _ in range(11):
+            rhs = 2.0 * curr - 0.5 * prev + tau * (2.0 * f(curr) - f(prev))
+            prev, curr = curr, helmholtz_solve(Field(grid, rhs), kappa, a=1.5, b=tau).values
+            reference.append(curr)
+
+        states = []
+        run(u0, model, SchemeKind.BDF2, tau, 12, observers=[lambda s, r: states.append(s)])
+        for state, expected in zip(states, reference, strict=True):
+            assert np.array_equal(state.u_curr.values, expected)
+        # a state built by hand carries neither f(u_prev) nor u_hat; both get computed
+        bare = SchemeState(SchemeKind.BDF2, model, tau, 11, states[-2].u_curr, states[-2].u_prev)
+        assert np.array_equal(bdf2_step(bare).u_curr.values, states[-1].u_curr.values)
+        assert psg.schemes._record(bare).energy == energy(model, bare.u_curr)
+
     def test_non_finite_abort_names_step(self):
         grid = TorusGrid(1, 64)
         u0 = Field.constant(grid, 2.0)
         with pytest.raises(NonFiniteError, match=r"step \d+"):
             run(u0, AC, SchemeKind.IMEX1, 1e3, 50)
+        # sin(u) stays bounded, so a huge sine-Gordon iterate overflows only the recorded gradient energy
+        huge = Field.from_function(grid, lambda x: 1e200 * np.sin(x))
+        with pytest.raises(NonFiniteError, match=r"step 1$"):
+            run(huge, SG, SchemeKind.IMEX1, 0.1, 3)
