@@ -237,8 +237,8 @@ def convergence_order(
     def final_values(tau: float, n_steps: int) -> np.ndarray:
         states = _advance(u0, config.model, scheme, tau)
         for _ in range(n_steps - 1):
-            next(states)  # dropped at once, so a step never holds its predecessor's spectrum
-        return next(states).u_curr.values
+            next(states)
+        return next(states).u_curr.values.copy()  # the generator's buffer, valid only until it advances
 
     u_ref = final_values(tau_ref, step_counts[-1])
     errors = [float(np.max(np.abs(final_values(tau, steps) - u_ref))) for tau, steps in zip(taus, step_counts)]

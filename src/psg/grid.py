@@ -95,6 +95,11 @@ class TorusGrid:
         return (k**2)[:, None] + (kr**2)[None, :]
 
     @cached_property
+    def _rfft_wk2(self) -> np.ndarray:
+        # |k|^2 times the Parseval weight: columns 0 and n/2 have no conjugate twin
+        return np.r_[1.0, np.full(self.n_per_axis // 2 - 1, 2.0), 1.0] * self._rfft_k2
+
+    @cached_property
     def _rfft_deriv(self) -> tuple[np.ndarray, ...]:
         # Nyquist mode zeroed so derivatives of real fields stay real.
         n = self.n_per_axis
@@ -202,23 +207,25 @@ def inverse_transform(c: SpectralCoeffs) -> Field:
     return Field(g, values)
 
 
-def _apply_multiplier(f: Field, mult: np.ndarray) -> tuple[Field, np.ndarray]:
-    axes = tuple(range(f.grid.dim))
-    spec = np.fft.rfftn(f.values, axes=axes)
+def _apply_multiplier(grid: TorusGrid, values: np.ndarray, mult: np.ndarray,
+                      spec=None, out=None) -> tuple[Field, np.ndarray]:
+    """(result, scaled rfftn half spectrum) of values times mult; written into spec and out when given."""
+    axes = tuple(range(grid.dim))
+    spec = np.fft.rfftn(values, axes=axes, out=spec)
     spec *= mult
-    return Field(f.grid, np.fft.irfftn(spec, s=f.grid.shape, axes=axes)), spec
+    return Field(grid, np.fft.irfftn(spec, s=grid.shape, axes=axes, out=out)), spec
 
 
 def laplacian(f: Field) -> Field:
     """Spectral Laplacian: coefficient at k scaled by -|k|^2."""
-    return _apply_multiplier(f, -f.grid._rfft_k2)[0]
+    return _apply_multiplier(f.grid, f.values, -f.grid._rfft_k2)[0]
 
 
 def first_derivative(f: Field, axis: int = 0) -> Field:
     """Spectral first derivative along one axis (multiplier i*k, Nyquist zeroed)."""
     if not 0 <= axis < f.grid.dim:
         raise ValueError(f"axis {axis} out of range for dim {f.grid.dim}")
-    return _apply_multiplier(f, f.grid._rfft_deriv[axis])[0]
+    return _apply_multiplier(f.grid, f.values, f.grid._rfft_deriv[axis])[0]
 
 
 def helmholtz_solve(rhs: Field, kappa: float, a: float, b: float) -> Field:
@@ -228,18 +235,18 @@ def helmholtz_solve(rhs: Field, kappa: float, a: float, b: float) -> Field:
     scheme with a=1, b=tau and the two-step scheme with a=3/2, b=tau.
     Requires a > 0 (otherwise the operator kills constants) and b >= 0.
     """
-    return _helmholtz_solve(rhs, kappa, a, b)[0]
+    return _apply_multiplier(rhs.grid, rhs.values, _helmholtz_multiplier(rhs.grid, kappa, a, b))[0]
 
 
-def _helmholtz_solve(rhs: Field, kappa: float, a: float, b: float) -> tuple[Field, np.ndarray]:
-    """helmholtz_solve, also returning the solution's rfftn half spectrum it inverts from."""
-    if a <= 0:
-        raise ValueError(f"a must be > 0 (operator not invertible on constants), got {a}")
-    if b < 0:
-        raise ValueError(f"b must be >= 0, got {b}")
+def _helmholtz_multiplier(grid: TorusGrid, kappa: float, a: float, b: float) -> np.ndarray:
+    """1/(a + b*kappa^2*|k|^2) in the rfft layout: the multiplier helmholtz_solve applies."""
+    if not 0.0 < a < np.inf:
+        raise ValueError(f"a must be finite and > 0 (operator not invertible on constants), got {a}")
+    if not 0.0 <= b < np.inf:
+        raise ValueError(f"b must be finite and >= 0, got {b}")
     if not 0.0 < kappa < np.inf:
         raise ValueError(f"kappa must be finite and > 0, got {kappa}")
-    return _apply_multiplier(rhs, 1.0 / (a + b * kappa**2 * rhs.grid._rfft_k2))
+    return 1.0 / (a + b * kappa**2 * grid._rfft_k2)
 
 
 def integrate(f: Field) -> float:

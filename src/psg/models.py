@@ -65,11 +65,12 @@ class StandardForm(NamedTuple):
     amplitude_scale: float
 
 
-def nonlinearity(kind: ModelKind, u: Field) -> Field:
-    """Pointwise reaction term: sin(u) for sine-Gordon, u - u^3 for Allen-Cahn."""
+def nonlinearity(kind: ModelKind, u: Field, out: np.ndarray | None = None) -> Field:
+    """Pointwise reaction term: sin(u) for sine-Gordon, u - u^3 for Allen-Cahn; written into out if given."""
     if kind is ModelKind.SINE_GORDON:
-        return Field(u.grid, np.sin(u.values))
-    return Field(u.grid, u.values - u.values**3)
+        return Field(u.grid, np.sin(u.values, out=out))
+    cube = np.power(u.values, 3, out=out)
+    return Field(u.grid, np.subtract(u.values, cube, out=cube))
 
 
 def potential_values(kind: ModelKind, u_samples) -> np.ndarray:
@@ -93,8 +94,7 @@ def energy(model: ModelSpec, u: Field) -> float:
 def _energy(model: ModelSpec, u: Field, u_hat: np.ndarray) -> float:
     """energy(model, u) from u_hat = rfftn(u.values): -integral(u * Lap u) by Parseval."""
     g = u.grid
-    w = np.r_[1.0, np.full(g.n_per_axis // 2 - 1, 2.0), 1.0]  # columns 0 and n/2 have no conjugate twin
-    gradient = float(np.sum(w * g._rfft_k2 * (u_hat.real**2 + u_hat.imag**2))) * g.spacing**g.dim / g.size
+    gradient = float(np.sum(g._rfft_wk2 * (u_hat.real**2 + u_hat.imag**2))) * g.spacing**g.dim / g.size
     if not np.isfinite(gradient):
         raise NonFiniteError("gradient energy is not finite")
     return integrate(Field(g, potential_values(model.kind, u.values))) + 0.5 * model.kappa**2 * gradient

@@ -21,7 +21,7 @@ from psg import (
     laplacian,
     potential_values,
 )
-from psg.grid import _helmholtz_solve
+from psg.grid import _apply_multiplier, _helmholtz_multiplier
 from psg.models import _energy
 from conftest import random_smooth_field
 
@@ -220,9 +220,13 @@ class TestHelmholtz:
             helmholtz_solve(f, kappa=1.0, a=1.0, b=-0.1)
         with pytest.raises(ValueError):
             helmholtz_solve(f, kappa=0.0, a=1.0, b=1.0)
-        for kappa in (np.nan, np.inf):  # not a NonFiniteError from the solved values
+        for bad in (np.nan, np.inf):  # not a NonFiniteError from the solved values, nor (a=inf) zeros
             with pytest.raises(ValueError, match="^kappa must be finite"):
-                helmholtz_solve(f, kappa=kappa, a=1.0, b=1.0)
+                helmholtz_solve(f, kappa=bad, a=1.0, b=1.0)
+            with pytest.raises(ValueError, match="^a must be finite"):
+                helmholtz_solve(f, kappa=1.0, a=bad, b=1.0)
+            with pytest.raises(ValueError, match="^b must be finite"):
+                helmholtz_solve(f, kappa=1.0, a=1.0, b=bad)
 
     def test_linearity(self, rng):
         grid = TorusGrid(1, 64)
@@ -251,7 +255,7 @@ class TestHelmholtz:
 
         forward = Field(grid, a * u.values - b * kappa**2 * laplacian(u).values)
         assert np.max(np.abs(helmholtz_solve(forward, kappa, a, b).values - u.values)) <= 1e-12 * u.linf()
-        solved, u_hat = _helmholtz_solve(u, kappa, a, b)
+        solved, u_hat = _apply_multiplier(grid, u.values, _helmholtz_multiplier(grid, kappa, a, b))
         recovered = a * solved.values - b * kappa**2 * laplacian(solved).values
         assert np.max(np.abs(recovered - u.values)) <= 1e-12 * u.linf()
 

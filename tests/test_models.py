@@ -77,6 +77,14 @@ class TestNonlinearity:
         grid = TorusGrid(1, 16)
         assert np.max(np.abs(nonlinearity(AC, Field.constant(grid, 1.0)).values)) == 0.0
 
+    @pytest.mark.parametrize("kind", [SG, AC], ids=["sg", "ac"])
+    def test_writes_into_out(self, kind, rng):
+        u = random_smooth_field(TorusGrid(2, 16), rng)
+        out = np.empty(u.grid.shape)
+        f = nonlinearity(kind, u, out=out)
+        assert f.values is out
+        assert np.array_equal(out, nonlinearity(kind, u).values)
+
     def test_sine_gordon_bounded_by_one(self, rng):
         grid = TorusGrid(1, 64)
         u = random_smooth_field(grid, rng, target_linf=50.0)

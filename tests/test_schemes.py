@@ -1,6 +1,7 @@
 """Time steppers: exact reductions, symmetries, dissipation and boundedness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,19 @@ class TestPreconditions:
         with pytest.raises(ValueError):
             SchemeState(SchemeKind.BDF2, SG, 0.5, 1, u, Field.zeros(TorusGrid(1, 64)))
 
+    @pytest.mark.parametrize("entry", ["SchemeState", "run", "kickstart_bdf2"])
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_non_finite_tau_rejected(self, entry, tau):
+        # unchecked, it surfaced as "non-finite field values at step 1" (or not at all for a bare state)
+        u = Field.zeros(TorusGrid(1, 32))
+        calls = {
+            "SchemeState": lambda: SchemeState(SchemeKind.IMEX1, SG, tau, 0, u),
+            "run": lambda: run(u, SG, SchemeKind.IMEX1, tau, 3),
+            "kickstart_bdf2": lambda: kickstart_bdf2(u, SG, tau),
+        }
+        with pytest.raises(ValueError, match="^tau must be finite and > 0"):
+            calls[entry]()
+
     def test_record_linf_invariant(self):
         with pytest.raises(ValueError):
             StepRecord(1, 0.1, -1.0, None, -2.0, 1.0, 1.0)
@@ -279,6 +293,43 @@ class TestRun:
         records = run(u0, SG, scheme, 0.1, 7)
         assert len(records) == 7
         assert counts == {"rfftn": 7, "irfftn": 7, "nonlinearity": 7}
+
+    @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
+    def test_observer_state_outlives_later_steps(self, scheme, rng):
+        # run steps in reused buffers; the state an observer receives holds its own copies
+        u0 = random_smooth_field(TorusGrid(2, 32), rng, target_linf=1.5)
+        kept = []
+
+        def keep_step_3(s, r):
+            if s.step_index == 3:
+                kept.append((s, s.u_curr.values.copy(), s.u_prev.values.copy(), s.u_hat.copy()))
+
+        run(u0, SG, scheme, 0.1, 10, observers=[keep_step_3])
+        (state, u_curr, u_prev, u_hat), = kept
+        assert np.array_equal(state.u_curr.values, u_curr)
+        assert np.array_equal(state.u_prev.values, u_prev)
+        assert np.array_equal(state.u_hat, u_hat)
+
+    @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
+    @pytest.mark.parametrize("model", [SG, AC], ids=["sg", "ac"])
+    def test_steps_allocate_no_fields(self, model, scheme):
+        # After warm-up a step writes only into the buffers _advance owns: the
+        # transforms' own scratch and the finiteness checks stay below 1.5 fields.
+        grid = TorusGrid(2, 64)
+        u0 = Field.from_function(grid, lambda x, y: np.sin(x) * np.cos(y))
+        states = psg.schemes._advance(u0, model, scheme, 0.1)
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                next(states)
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                next(states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 1.5 * 8 * grid.size
 
     def test_observer_errors_propagate(self):
         u0 = Field.zeros(TorusGrid(1, 64))
