@@ -29,10 +29,6 @@ from .schemes import (
     SchemeKind,
     SchemeState,
     StepRecord,
-    bdf2_step,
-    imex1_step,
-    initial_state,
-    kickstart_bdf2,
     run,
 )
 from .steady_states import (

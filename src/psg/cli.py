@@ -175,8 +175,8 @@ def cmd_sweep(args) -> int:
         taus = [float(tok) for tok in args.tau_list.split(",") if tok.strip()]
     except ValueError:
         raise _UsageError(f"--tau-list must be comma-separated numbers, got {args.tau_list!r}")
-    if not taus or any(t <= 0 for t in taus):
-        raise _UsageError(f"--tau-list entries must all be > 0, got {args.tau_list!r}")
+    if not taus or not all(0.0 < t < np.inf for t in taus):
+        raise _UsageError(f"--tau-list entries must all be finite and > 0, got {args.tau_list!r}")
 
     # stability_sweep swaps in each listed tau and records a bad one per tau;
     # the base config only needs a tau that is valid for the run length.
@@ -196,35 +196,30 @@ def cmd_sweep(args) -> int:
 
 def cmd_steady(args) -> int:
     sign = 1 if args.sign == "+" else -1
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-
+    # every value is computed (and kappa validated) before anything is written or printed
     if args.case == "periodic":
         orbit = build_periodic_orbit(args.C, args.kappa, quad_points=args.points)
         x, u = orbit.full_profile()
         if sign < 0:
             u = -u
-        io.write_profile_csv(out / "profile.csv", x, u)
-        print(f"classification: {Regime.PERIODIC.value}")
-        print(f"amplitude: {orbit.case.amplitude!r}")
-        print(f"period: {orbit.period!r}")
-        print(f"residual: {orbit.residual_max()!r}")
-        return 0
-
-    x = np.linspace(-np.pi, np.pi, 513)
-    if args.case == "kink":
-        u = kink_eval(args.kappa, sign, args.c, x)
-        regime, amplitude = Regime.KINK, np.pi
-    elif args.case == "constant":
-        u = np.full_like(x, sign * np.pi)
-        regime, amplitude = Regime.CONSTANT_PI, np.pi
+        facts = [f"classification: {Regime.PERIODIC.value}", f"amplitude: {orbit.case.amplitude!r}",
+                 f"period: {orbit.period!r}", f"residual: {orbit.residual_max()!r}"]
     else:
-        u = np.zeros_like(x)
-        regime, amplitude = Regime.ZERO, 0.0
-    io.write_profile_csv(out / "profile.csv", x, u)
-    print(f"classification: {regime.value}")
-    print(f"amplitude: {amplitude!r}")
-    print(f"residual: {residual(u, args.kappa, spacing=x[1] - x[0])!r}")
+        x = np.linspace(-np.pi, np.pi, 513)
+        if args.case == "kink":
+            u = kink_eval(args.kappa, sign, args.c, x)
+            regime, amplitude = Regime.KINK, np.pi
+        elif args.case == "constant":
+            u = np.full_like(x, sign * np.pi)
+            regime, amplitude = Regime.CONSTANT_PI, np.pi
+        else:
+            u = np.zeros_like(x)
+            regime, amplitude = Regime.ZERO, 0.0
+        facts = [f"classification: {regime.value}", f"amplitude: {amplitude!r}",
+                 f"residual: {residual(u, args.kappa, spacing=x[1] - x[0])!r}"]
+    args.out.mkdir(parents=True, exist_ok=True)
+    io.write_profile_csv(args.out / "profile.csv", x, u)
+    print("\n".join(facts))
     return 0
 
 

@@ -19,17 +19,13 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .grid import Field, NonFiniteError, _apply_multiplier, _helmholtz_multiplier
-from .models import ModelSpec, _energy, _increment_energy, energy, nonlinearity
+from .models import ModelSpec, _energy, _increment_energy, nonlinearity
 
 __all__ = [
     "SchemeKind",
     "SchemeState",
     "StepRecord",
     "Observer",
-    "initial_state",
-    "imex1_step",
-    "bdf2_step",
-    "kickstart_bdf2",
     "run",
 ]
 
@@ -49,9 +45,8 @@ class SchemeState:
     step_index: int
     u_curr: Field
     u_prev: Field | None = None
-    # The half spectrum the solve inverted to u_curr, and f(u_prev); recomputed when absent.
+    # The half spectrum the solve inverted to u_curr (none before the first step).
     u_hat: np.ndarray | None = field(default=None, compare=False, repr=False)
-    f_prev: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tau < np.inf:
@@ -89,69 +84,33 @@ class StepRecord:
 Observer = Callable[[SchemeState, StepRecord], None]
 
 
-def initial_state(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float) -> SchemeState:
-    return SchemeState(scheme, model, tau, 0, u0, None)
-
-
 def _imex1_kernel(u: Field, model: ModelSpec, tau: float, mult: np.ndarray,
-                  f=None, rhs=None, spec=None, out=None) -> tuple[Field, np.ndarray, np.ndarray]:
-    """One imex1 step from u (mult has a=1) in the given buffers, fresh where None: u_next, its u_hat, f(u)."""
-    f = nonlinearity(model.kind, u, out=f).values
-    rhs = np.multiply(tau, f, out=rhs)
+                  f, rhs, spec, out) -> tuple[Field, np.ndarray]:
+    """One imex1 step from u (mult has a=1) in the given buffers: (u_next, its u_hat); f gets f(u)."""
+    nonlinearity(model.kind, u, out=f)
+    np.multiply(tau, f, out=rhs)
     np.add(u.values, rhs, out=rhs)
-    u_next, u_hat = _apply_multiplier(u.grid, rhs, mult, spec, out)
-    return u_next, u_hat, f
+    return _apply_multiplier(u.grid, rhs, mult, spec, out)
 
 
-def _bdf2_kernel(state: SchemeState, mult: np.ndarray,
-                 f=None, rhs=None, spec=None, out=None) -> tuple[Field, np.ndarray, np.ndarray]:
-    """One bdf2 step (mult has a=3/2), as _imex1_kernel; the terms are summed in out before the solve fills it."""
-    kind, tau = state.model.kind, state.tau
-    f_prev = state.f_prev if state.f_prev is not None else nonlinearity(kind, state.u_prev).values
-    f = nonlinearity(kind, state.u_curr, out=f).values
-    rhs = np.multiply(2.0, state.u_curr.values, out=rhs)
+def _bdf2_kernel(state: SchemeState, f_old: np.ndarray, mult: np.ndarray,
+                 f, rhs, spec, out) -> tuple[Field, np.ndarray]:
+    """One bdf2 step (mult has a=3/2; f_old holds f(u_prev)), as _imex1_kernel; terms are summed in out."""
+    nonlinearity(state.model.kind, state.u_curr, out=f)
+    np.multiply(2.0, state.u_curr.values, out=rhs)
     term = np.multiply(0.5, state.u_prev.values, out=out)
     np.subtract(rhs, term, out=rhs)
     np.multiply(2.0, f, out=term)
-    np.subtract(term, f_prev, out=term)
-    np.multiply(tau, term, out=term)
+    np.subtract(term, f_old, out=term)
+    np.multiply(state.tau, term, out=term)
     np.add(rhs, term, out=rhs)
-    u_next, u_hat = _apply_multiplier(state.u_curr.grid, rhs, mult, spec, term)
-    return u_next, u_hat, f
-
-
-def imex1_step(state: SchemeState) -> SchemeState:
-    """Advance one step: u <- (1 - tau*kappa^2*Lap)^{-1} (u + tau*f(u))."""
-    if state.scheme is not SchemeKind.IMEX1:
-        raise ValueError(f"imex1_step requires an IMEX1 state, got {state.scheme}")
-    u, model, tau = state.u_curr, state.model, state.tau
-    u_next, u_hat, f = _imex1_kernel(u, model, tau, _helmholtz_multiplier(u.grid, model.kappa, 1.0, tau))
-    return SchemeState(state.scheme, model, tau, state.step_index + 1, u_next, u, u_hat, f)
-
-
-def bdf2_step(state: SchemeState) -> SchemeState:
-    """Advance one step: u <- (3/2 - tau*kappa^2*Lap)^{-1} (2*u - u_prev/2 + tau*(2*f(u) - f(u_prev)))."""
-    if state.scheme is not SchemeKind.BDF2:
-        raise ValueError(f"bdf2_step requires a BDF2 state, got {state.scheme}")
-    if state.u_prev is None:
-        raise ValueError("bdf2_step requires u_prev (kick-start the scheme first)")
-    model, tau = state.model, state.tau
-    u_next, u_hat, f = _bdf2_kernel(state, _helmholtz_multiplier(state.u_curr.grid, model.kappa, 1.5, tau))
-    return SchemeState(state.scheme, model, tau, state.step_index + 1, u_next, state.u_curr, u_hat, f)
-
-
-def kickstart_bdf2(u0: Field, model: ModelSpec, tau: float) -> SchemeState:
-    """State after step 1, with u_prev = u0 and u_curr from one imex1 step of u0."""
-    if not 0.0 < tau < np.inf:
-        raise ValueError(f"tau must be finite and > 0, got {tau}")
-    u1, u_hat, f0 = _imex1_kernel(u0, model, tau, _helmholtz_multiplier(u0.grid, model.kappa, 1.0, tau))
-    return SchemeState(SchemeKind.BDF2, model, tau, 1, u1, u0, u_hat, f0)
+    return _apply_multiplier(state.u_curr.grid, rhs, mult, spec, term)
 
 
 def _record(state: SchemeState) -> StepRecord:
     u = state.u_curr
     u_min, u_max = u.min(), u.max()
-    e = energy(state.model, u) if state.u_hat is None else _energy(state.model, u, state.u_hat)
+    e = _energy(state.model, u, state.u_hat)
     mod = None
     if state.u_prev is not None:
         mod = e + _increment_energy(u, state.u_prev, state.tau)
@@ -173,20 +132,21 @@ def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float) -> Ite
     arrays: a state is valid only until the next advance. Copy what must outlive it.
     """
     g, bdf2 = u0.grid, scheme is SchemeKind.BDF2
-    state = initial_state(u0, model, scheme, tau)
-    # Step s writes ring[s % len(ring)], never the slots holding u_curr and u_prev (u0 stays outside).
-    ring = [np.empty(g.shape) for _ in range(3 if bdf2 else 2)]
-    fs = [np.empty(g.shape) for _ in range(2 if bdf2 else 1)]  # f(u_curr) goes where f(u_prev) is not
+    state = SchemeState(scheme, model, tau, 0, u0)
+    # Step s writes ring[s % 2]: never u_curr's slot; for bdf2 it is u_prev's, which
+    # _bdf2_kernel reads once, before it writes there (u0 stays outside the ring).
+    ring = [np.empty(g.shape) for _ in range(2)]
+    fs = [np.empty(g.shape) for _ in range(2 if bdf2 else 1)]  # step s puts f(u_curr) in fs[s % len(fs)]
     rhs, spec = np.empty(g.shape), np.empty(g._rfft_k2.shape, dtype=np.complex128)
     mults = [_helmholtz_multiplier(g, model.kappa, a, tau) for a in ((1.0, 1.5) if bdf2 else (1.0,))]
     while True:
         step = state.step_index + 1
-        out, f = ring[step % len(ring)], fs[step % len(fs)]
-        if bdf2 and step > 1:
-            u_next, u_hat, f = _bdf2_kernel(state, mults[1], f, rhs, spec, out)
+        out, f = ring[step % 2], fs[step % len(fs)]
+        if bdf2 and step > 1:  # f(u_prev) is where the step before put f(its u_curr)
+            u_next, u_hat = _bdf2_kernel(state, fs[(step - 1) % 2], mults[1], f, rhs, spec, out)
         else:  # BDF2 kick-starts with one imex1 step
-            u_next, u_hat, f = _imex1_kernel(state.u_curr, model, tau, mults[0], f, rhs, spec, out)
-        state = SchemeState(scheme, model, tau, step, u_next, state.u_curr, u_hat, f)
+            u_next, u_hat = _imex1_kernel(state.u_curr, model, tau, mults[0], f, rhs, spec, out)
+        state = SchemeState(scheme, model, tau, step, u_next, state.u_curr, u_hat)
         yield state
 
 
@@ -201,8 +161,8 @@ def run(
     """Advance n_steps steps, emitting one StepRecord per step (steps 1..n_steps).
 
     Observers are invoked as observer(state, record) after each step,
-    with a state holding its own copies of u_curr, u_prev and u_hat (and
-    no f_prev), so they may keep it.
+    with a state holding its own copies of u_curr, u_prev and u_hat, so
+    they may keep it.
     Aborts with NonFiniteError naming the first bad step if any iterate
     or its diagnostics stop being finite. Deterministic given identical inputs.
     """
@@ -226,7 +186,7 @@ def run(
         if observers:
             # the next advance overwrites the state's arrays; observers get copies they may keep
             u_curr = Field(state.u_curr.grid, state.u_curr.values.copy())
-            state = replace(state, u_curr=u_curr, u_prev=kept_prev, u_hat=state.u_hat.copy(), f_prev=None)
+            state = replace(state, u_curr=u_curr, u_prev=kept_prev, u_hat=state.u_hat.copy())
             kept_prev = u_curr
         for obs in observers:
             obs(state, record)

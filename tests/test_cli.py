@@ -295,8 +295,10 @@ NON_FINITE_INPUTS = {
 @pytest.mark.parametrize("argv", list(NON_FINITE_INPUTS.values()), ids=list(NON_FINITE_INPUTS))
 def test_non_finite_input_rejected(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path / "x")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    printed = capsys.readouterr()
+    assert printed.err.startswith("error: ") and printed.err.count("\n") == 1
+    assert printed.out == ""  # nothing printed or written before the input is rejected
+    assert not (tmp_path / "x" / "profile.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -309,3 +311,15 @@ def test_bad_tfinal_named(command, tfinal, tmp_path, capsys):
     assert main([command, *argv]) == 1
     err = capsys.readouterr().err
     assert err == f"error: --tfinal must be finite and > 0, got {float(tfinal)!r}\n"
+
+
+@pytest.mark.parametrize("length", [("--steps", "2"), ("--tfinal", "1")], ids=["steps", "tfinal"])
+@pytest.mark.parametrize("tau_list", ["inf", "nan", "0.1,inf", "nan,0.1"])
+def test_non_finite_tau_list_named(tau_list, length, tmp_path, capsys):
+    # Whatever its position, and whether the run length is a step count or a final time,
+    # a non-finite entry is reported as a --tau-list error, not via the base config's tau.
+    argv = ["sweep", "--model", "sg", "--scheme", "imex1", "--dim", "1", "--kappa", "0.1", "--n", "16",
+            "--init", "pi_sin", *length, "--tau-list", tau_list, "--out", str(tmp_path / "x")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --tau-list entries must all be finite and > 0, got {tau_list!r}\n"

@@ -19,13 +19,9 @@ from psg import (
     SchemeState,
     StepRecord,
     TorusGrid,
-    bdf2_step,
     energy,
     energy_monitor,
     helmholtz_solve,
-    imex1_step,
-    initial_state,
-    kickstart_bdf2,
     max_principle_monitor,
     modified_energy,
     nonlinearity,
@@ -37,102 +33,94 @@ SG = ModelSpec(ModelKind.SINE_GORDON, 0.5)
 AC = ModelSpec(ModelKind.ALLEN_CAHN, 0.5)
 
 
-def constant_state(value, model, scheme, tau, n=64):
-    return initial_state(Field.constant(TorusGrid(1, n), value), model, scheme, tau)
+def observed(u0, model, scheme, tau, n_steps):
+    """The states run hands its observer after steps 1..n_steps (each holds its own copies)."""
+    states = []
+    run(u0, model, scheme, tau, n_steps, observers=[lambda s, r: states.append(s)])
+    return states
+
+
+def constant_run(value, model, scheme, tau, n_steps, n=64):
+    u0 = Field.constant(TorusGrid(1, n), value)
+    return [s.u_curr.values for s in observed(u0, model, scheme, tau, n_steps)]
 
 
 class TestConstantReductions:
     def test_imex_zero_fixed_point(self):
-        state = constant_state(0.0, SG, SchemeKind.IMEX1, 0.7)
-        assert np.max(np.abs(imex1_step(state).u_curr.values)) == 0.0
+        (u1,) = constant_run(0.0, SG, SchemeKind.IMEX1, 0.7, 1)
+        assert np.max(np.abs(u1)) == 0.0
 
     @pytest.mark.parametrize("a,tau", [(1.2, 0.7), (-2.0, 0.25), (3.0, 1.0)])
     def test_imex_scalar_recurrence(self, a, tau):
-        state = constant_state(a, SG, SchemeKind.IMEX1, tau)
         value = a
-        for _ in range(10):
-            state = imex1_step(state)
+        for u in constant_run(a, SG, SchemeKind.IMEX1, tau, 10):
             value = value + tau * math.sin(value)
-            assert np.max(np.abs(state.u_curr.values - value)) <= 1e-14 * max(1.0, abs(value))
+            assert np.max(np.abs(u - value)) <= 1e-14 * max(1.0, abs(value))
 
     def test_imex_scalar_recurrence_allen_cahn(self):
         tau, a = 0.2, 0.6
-        state = constant_state(a, AC, SchemeKind.IMEX1, tau)
-        state = imex1_step(state)
+        (u1,) = constant_run(a, AC, SchemeKind.IMEX1, tau, 1)
         expected = a + tau * (a - a**3)
-        assert np.max(np.abs(state.u_curr.values - expected)) <= 1e-14
+        assert np.max(np.abs(u1 - expected)) <= 1e-14
 
     def test_imex_scalar_recurrence_2d(self):
         tau, a = 0.5, 1.1
-        state = initial_state(Field.constant(TorusGrid(2, 16), a), SG, SchemeKind.IMEX1, tau)
+        (state,) = observed(Field.constant(TorusGrid(2, 16), a), SG, SchemeKind.IMEX1, tau, 1)
         expected = a + tau * math.sin(a)
-        assert np.max(np.abs(imex1_step(state).u_curr.values - expected)) <= 1e-14
+        assert np.max(np.abs(state.u_curr.values - expected)) <= 1e-14
 
     def test_bdf2_pi_is_steady(self):
-        grid = TorusGrid(1, 64)
-        state = SchemeState(SchemeKind.BDF2, SG, 0.5, 1,
-                            Field.constant(grid, np.pi), Field.constant(grid, np.pi))
-        stepped = bdf2_step(state)
-        assert np.array_equal(stepped.u_curr.values, state.u_curr.values)
+        for u in constant_run(np.pi, SG, SchemeKind.BDF2, 0.5, 5):
+            assert np.all(u == np.pi)
+
+    @staticmethod
+    def bdf2_scalar(a, tau, f, n_steps):
+        """The scalar BDF2 recurrence from a constant a, kick-started by one imex1 step."""
+        prev, curr = a, a + tau * f(a)
+        values = [curr]
+        for _ in range(n_steps - 1):
+            prev, curr = curr, (2 * curr - prev / 2 + tau * (2 * f(curr) - f(prev))) / 1.5
+            values.append(curr)
+        return values
 
     @pytest.mark.parametrize("a,tau", [(1.0, 0.4), (-0.7, 0.1)])
     def test_bdf2_scalar_recurrence(self, a, tau):
-        grid = TorusGrid(1, 64)
-        state = SchemeState(SchemeKind.BDF2, SG, tau, 1,
-                            Field.constant(grid, a), Field.constant(grid, a))
-        expected = a + (2 * tau / 3) * math.sin(a)
-        assert np.max(np.abs(bdf2_step(state).u_curr.values - expected)) <= 1e-14
+        expected = self.bdf2_scalar(a, tau, math.sin, 10)
+        for u, value in zip(constant_run(a, SG, SchemeKind.BDF2, tau, 10), expected, strict=True):
+            assert np.max(np.abs(u - value)) <= 1e-14
 
     def test_bdf2_scalar_recurrence_allen_cahn(self):
         a, tau = 0.4, 0.25
-        grid = TorusGrid(1, 64)
-        state = SchemeState(SchemeKind.BDF2, AC, tau, 1,
-                            Field.constant(grid, a), Field.constant(grid, a))
-        expected = a + (2 * tau / 3) * (a - a**3)
-        assert np.max(np.abs(bdf2_step(state).u_curr.values - expected)) <= 1e-14
+        expected = self.bdf2_scalar(a, tau, lambda v: v - v**3, 10)
+        for u, value in zip(constant_run(a, AC, SchemeKind.BDF2, tau, 10), expected, strict=True):
+            assert np.max(np.abs(u - value)) <= 1e-14
 
 
 class TestKickstart:
     def test_zero_stays_zero(self):
-        state = kickstart_bdf2(Field.zeros(TorusGrid(1, 32)), SG, 0.3)
+        (state,) = observed(Field.zeros(TorusGrid(1, 32)), SG, SchemeKind.BDF2, 0.3, 1)
         assert state.step_index == 1
         assert np.max(np.abs(state.u_curr.values)) == 0.0
 
     def test_constant_half_pi(self):
-        state = kickstart_bdf2(Field.constant(TorusGrid(1, 32), np.pi / 2), SG, 0.5)
-        assert np.max(np.abs(state.u_curr.values - (np.pi / 2 + 0.5))) <= 1e-14
+        (u1,) = constant_run(np.pi / 2, SG, SchemeKind.BDF2, 0.5, 1, n=32)
+        assert np.max(np.abs(u1 - (np.pi / 2 + 0.5))) <= 1e-14
 
     def test_matches_imex_step_bitwise(self):
         grid = TorusGrid(1, 128)
         u0 = Field.from_function(grid, lambda x: np.pi * np.sin(x))
         model = ModelSpec(ModelKind.SINE_GORDON, 0.1)
-        kicked = kickstart_bdf2(u0, model, 0.25)
-        stepped = imex1_step(initial_state(u0, model, SchemeKind.IMEX1, 0.25))
+        (kicked,) = observed(u0, model, SchemeKind.BDF2, 0.25, 1)
+        (stepped,) = observed(u0, model, SchemeKind.IMEX1, 0.25, 1)
         assert np.array_equal(kicked.u_curr.values, stepped.u_curr.values)
         assert kicked.u_prev is u0
 
     def test_invalid_tau(self):
-        with pytest.raises(ValueError):
-            kickstart_bdf2(Field.zeros(TorusGrid(1, 32)), SG, 0.0)
+        with pytest.raises(ValueError, match="^tau must be finite and > 0"):
+            run(Field.zeros(TorusGrid(1, 32)), SG, SchemeKind.BDF2, 0.0, 3)
 
 
 class TestPreconditions:
-    def test_scheme_tag_enforced(self):
-        imex_state = constant_state(1.0, SG, SchemeKind.IMEX1, 0.5)
-        with pytest.raises(ValueError):
-            bdf2_step(imex_state)
-        grid = TorusGrid(1, 64)
-        bdf_state = SchemeState(SchemeKind.BDF2, SG, 0.5, 1,
-                                Field.constant(grid, 1.0), Field.constant(grid, 1.0))
-        with pytest.raises(ValueError):
-            imex1_step(bdf_state)
-
-    def test_bdf2_requires_history(self):
-        state = constant_state(1.0, SG, SchemeKind.BDF2, 0.5)
-        assert state.u_prev is None
-        with pytest.raises(ValueError):
-            bdf2_step(state)
-
     def test_state_invariants(self):
         grid = TorusGrid(1, 32)
         u = Field.zeros(grid)
@@ -143,7 +131,7 @@ class TestPreconditions:
         with pytest.raises(ValueError):
             SchemeState(SchemeKind.BDF2, SG, 0.5, 1, u, Field.zeros(TorusGrid(1, 64)))
 
-    @pytest.mark.parametrize("entry", ["SchemeState", "run", "kickstart_bdf2"])
+    @pytest.mark.parametrize("entry", ["SchemeState", "run"])
     @pytest.mark.parametrize("tau", [np.nan, np.inf])
     def test_non_finite_tau_rejected(self, entry, tau):
         # unchecked, it surfaced as "non-finite field values at step 1" (or not at all for a bare state)
@@ -151,7 +139,6 @@ class TestPreconditions:
         calls = {
             "SchemeState": lambda: SchemeState(SchemeKind.IMEX1, SG, tau, 0, u),
             "run": lambda: run(u, SG, SchemeKind.IMEX1, tau, 3),
-            "kickstart_bdf2": lambda: kickstart_bdf2(u, SG, tau),
         }
         with pytest.raises(ValueError, match="^tau must be finite and > 0"):
             calls[entry]()
@@ -362,10 +349,6 @@ class TestRun:
         run(u0, model, SchemeKind.BDF2, tau, 12, observers=[lambda s, r: states.append(s)])
         for state, expected in zip(states, reference, strict=True):
             assert np.array_equal(state.u_curr.values, expected)
-        # a state built by hand carries neither f(u_prev) nor u_hat; both get computed
-        bare = SchemeState(SchemeKind.BDF2, model, tau, 11, states[-2].u_curr, states[-2].u_prev)
-        assert np.array_equal(bdf2_step(bare).u_curr.values, states[-1].u_curr.values)
-        assert psg.schemes._record(bare).energy == energy(model, bare.u_curr)
 
     def test_non_finite_abort_names_step(self):
         grid = TorusGrid(1, 64)
