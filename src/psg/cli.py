@@ -40,8 +40,9 @@ def _add_run_arguments(p: argparse.ArgumentParser, with_tau: bool) -> None:
     if with_tau:
         p.add_argument("--tau", type=float, required=True)
     p.add_argument("--n", type=int, required=True, help="grid points per axis")
-    p.add_argument("--tfinal", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
+    length = p.add_mutually_exclusive_group()
+    length.add_argument("--tfinal", type=float, default=None)
+    length.add_argument("--steps", type=int, default=None)
     p.add_argument("--init", required=True, help="preset name (pi_sin, pi_sin_sin, sin_sin) or snapshot path")
     p.add_argument("--out", type=Path, required=True, help="output directory")
 
@@ -182,8 +183,8 @@ def cmd_sweep(args) -> int:
     # the base config only needs a tau that is valid for the run length.
     t_final = _t_final(args)
     config = _build_config(args, tau=t_final if t_final is not None else taus[0])
-    args.out.mkdir(parents=True, exist_ok=True)
     sweep = stability_sweep(config, taus)
+    args.out.mkdir(parents=True, exist_ok=True)
     io.write_sweep_csv(args.out / "sweep.csv", sweep)
     for tau, reports, error in zip(sweep.tau_values, sweep.reports, sweep.errors):
         if error is not None:

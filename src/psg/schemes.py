@@ -86,7 +86,7 @@ Observer = Callable[[SchemeState, StepRecord], None]
 
 def _imex1_kernel(u: Field, model: ModelSpec, tau: float, mult: np.ndarray,
                   f, rhs, spec, out) -> tuple[Field, np.ndarray]:
-    """One imex1 step from u (mult has a=1) in the given buffers: (u_next, its u_hat); f gets f(u)."""
+    """One imex1 step from u (mult has a=1) in the given buffers, which may all be out: (u_next, its u_hat)."""
     nonlinearity(model.kind, u, out=f)
     np.multiply(tau, f, out=rhs)
     np.add(u.values, rhs, out=rhs)
@@ -136,12 +136,14 @@ def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float) -> Ite
     # Step s writes ring[s % 2]: never u_curr's slot; for bdf2 it is u_prev's, which
     # _bdf2_kernel reads once, before it writes there (u0 stays outside the ring).
     ring = [np.empty(g.shape) for _ in range(2)]
-    fs = [np.empty(g.shape) for _ in range(2 if bdf2 else 1)]  # step s puts f(u_curr) in fs[s % len(fs)]
-    rhs, spec = np.empty(g.shape), np.empty(g._rfft_k2.shape, dtype=np.complex128)
+    # bdf2 carries f(u_curr) to the next step in fs[s % 2]; imex1 forms f and rhs in its output slot
+    fs, rhs_buf = ([np.empty(g.shape) for _ in range(2)], np.empty(g.shape)) if bdf2 else (None, None)
+    spec = np.empty(g._rfft_k2.shape, dtype=np.complex128)
     mults = [_helmholtz_multiplier(g, model.kappa, a, tau) for a in ((1.0, 1.5) if bdf2 else (1.0,))]
     while True:
         step = state.step_index + 1
-        out, f = ring[step % 2], fs[step % len(fs)]
+        out = ring[step % 2]
+        f, rhs = (fs[step % 2], rhs_buf) if bdf2 else (out, out)
         if bdf2 and step > 1:  # f(u_prev) is where the step before put f(its u_curr)
             u_next, u_hat = _bdf2_kernel(state, fs[(step - 1) % 2], mults[1], f, rhs, spec, out)
         else:  # BDF2 kick-starts with one imex1 step

@@ -323,3 +323,39 @@ def test_non_finite_tau_list_named(tau_list, length, tmp_path, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == f"error: --tau-list entries must all be finite and > 0, got {tau_list!r}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_tfinal_and_steps_exclusive(command, tmp_path, capsys):
+    argv = ["--model", "sg", "--scheme", "imex1", "--dim", "1", "--kappa", "0.1", "--n", "16",
+            "--init", "pi_sin", "--tfinal", "0.2", "--steps", "2", "--out", str(tmp_path / "x")]
+    argv += ["--tau", "0.1"] if command == "run" else ["--tau-list", "0.1"]
+    assert main([command, *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--tfinal" in err and "--steps" in err
+    assert not (tmp_path / "x").exists()
+
+
+def _write_malformed_snapshot(path):
+    path.write_bytes(b"PSG1" + b"\x00" * 12)
+    return str(path)
+
+
+BAD_SWEEP_INITS = {
+    "missing-file": lambda tmp: str(tmp / "no_such.psg"),
+    "2d-preset-in-1d": lambda tmp: "pi_sin_sin",
+    "malformed-snapshot": lambda tmp: _write_malformed_snapshot(tmp / "bad.psg"),
+}
+
+
+@pytest.mark.parametrize("make_init", list(BAD_SWEEP_INITS.values()), ids=list(BAD_SWEEP_INITS))
+def test_sweep_bad_init_is_input_error(make_init, tmp_path, capsys):
+    # As for psg run: exit 1 with one error line, before any tau runs or anything is written.
+    out = tmp_path / "sw"
+    argv = ["sweep", "--model", "sg", "--scheme", "imex1", "--dim", "1", "--kappa", "0.1", "--n", "16",
+            "--tfinal", "1", "--init", make_init(tmp_path), "--tau-list", "0.1,0.5,1", "--out", str(out)]
+    assert main(argv) == 1
+    printed = capsys.readouterr()
+    assert printed.err.startswith("error: ") and printed.err.count("\n") == 1
+    assert printed.out == ""
+    assert not out.exists()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import psg.diagnostics
 from psg import (
     ExperimentConfig,
     Field,
@@ -145,6 +146,22 @@ class TestStabilitySweep:
         assert sweep.errors[1] is None
         assert sweep.reports[0] is None
         assert np.isnan(sweep.final_energies[0])
+
+    def test_one_initial_field_for_all_members(self, monkeypatch):
+        # Members share the sweep's one initial field (and its grid's tables): runs never write u0.
+        calls = []
+
+        def counted(config):
+            calls.append(config)
+            return initial_field(config)
+        monkeypatch.setattr(psg.diagnostics, "initial_field", counted)
+        sweep = stability_sweep(demo_config(t_final=10.0), [0.5, 1.0, 2.0])
+        assert sweep.errors == (None, None, None)
+        assert len(calls) == 1
+
+    def test_bad_initial_field_raises_before_runs(self):
+        with pytest.raises(ValueError, match="init preset 'pi_sin_sin' is 2D"):
+            stability_sweep(demo_config(init="pi_sin_sin"), [0.5, 1.0])
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

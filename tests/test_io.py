@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from psg import (
     Field,
@@ -82,6 +83,24 @@ class TestSnapshots:
         path.write_bytes(header + payload)
         with pytest.raises(SnapshotFormatError, match="payload"):
             read_snapshot(path)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_corruption_raises_only_format_error(self, tmp_path, data):
+        # Any truncation and up to 4 bit flips of a valid file: read_snapshot returns or
+        # raises SnapshotFormatError, never another exception.
+        field = Field.from_function(TorusGrid(2, 8), lambda x, y: np.sin(x) * np.cos(y))
+        path = tmp_path / "snap.psg"
+        write_snapshot(path, field, t=0.5, kappa=0.2)
+        raw = bytearray(path.read_bytes())
+        for bit in data.draw(st.lists(st.integers(0, 8 * len(raw) - 1), max_size=4), label="flips"):
+            raw[bit // 8] ^= 1 << (bit % 8)
+        length = data.draw(st.integers(0, len(raw)), label="length")
+        path.write_bytes(bytes(raw[:length]))
+        try:
+            read_snapshot(path)
+        except SnapshotFormatError:
+            pass
 
 
 class TestHeatmap:

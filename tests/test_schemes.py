@@ -40,6 +40,14 @@ def observed(u0, model, scheme, tau, n_steps):
     return states
 
 
+def trig_poly_field(grid, coeffs, amplitude):
+    """amplitude * p / max(|p|, 1) for the trigonometric polynomial p with the given (cos, sin) pairs; p(x)p(y) in 2D."""
+    def poly(x):
+        return sum(a * np.cos(m * x) + b * np.sin(m * x) for m, (a, b) in enumerate(zip(coeffs[::2], coeffs[1::2])))
+    values = np.prod([poly(x) for x in grid.coords()], axis=0)
+    return Field(grid, amplitude * values / max(np.max(np.abs(values)), 1.0))
+
+
 def constant_run(value, model, scheme, tau, n_steps, n=64):
     u0 = Field.constant(TorusGrid(1, n), value)
     return [s.u_curr.values for s in observed(u0, model, scheme, tau, n_steps)]
@@ -214,13 +222,36 @@ class TestGuarantees:
     )
     def test_bdf2_modified_energy_decay_property(self, kappa, tau, coeffs, amplitude):
         """bdf2 dissipates E + ||u_n - u_{n-1}||^2/(4 tau) for tau <= 1/2 and any |u0| <= pi."""
-        grid = TorusGrid(1, 32)
-        (x,) = grid.coords()
-        poly = sum(a * np.cos(m * x) + b * np.sin(m * x)
-                   for m, (a, b) in enumerate(zip(coeffs[::2], coeffs[1::2])))
-        u0 = Field(grid, amplitude * poly / max(np.max(np.abs(poly)), 1.0))
+        u0 = trig_poly_field(TorusGrid(1, 32), coeffs, amplitude)
         records = run(u0, ModelSpec(ModelKind.SINE_GORDON, kappa), SchemeKind.BDF2, tau, 50)
         assert not energy_monitor(records, modified=True).violated
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2]),
+        n=st.sampled_from([32, 64]),
+        kappa_frac=st.floats(0.0, 1.0),
+        tau=st.floats(1e-6, 1.0),
+        coeffs=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+        amplitude=st.floats(0.0, np.pi),
+    )
+    def test_imex1_max_principle_property(self, dim, n, kappa_frac, tau, coeffs, amplitude):
+        """imex1 keeps ||u||_inf <= pi for tau <= 1 and |u0| <= pi on grids that resolve the kinks (kappa >= 5h)."""
+        grid = TorusGrid(dim, n)
+        kappa = 5 * grid.spacing + kappa_frac * (1.0 - 5 * grid.spacing)
+        u0 = trig_poly_field(grid, coeffs, amplitude)
+        records = run(u0, ModelSpec(ModelKind.SINE_GORDON, kappa), SchemeKind.IMEX1, tau, 40)
+        assert not max_principle_monitor(records).violated
+
+    def test_max_principle_fails_on_unresolved_kinks(self):
+        # The discrete resolvent 1/(1 + tau*kappa^2*|k|^2) is not positivity-preserving: at
+        # kappa/h = 0.32 the reaction steepens u0 = sin 3x into kinks the grid cannot resolve,
+        # and the iterates overshoot pi.
+        u0 = Field.from_function(TorusGrid(1, 32), lambda x: np.sin(3 * x))
+        records = run(u0, ModelSpec(ModelKind.SINE_GORDON, 0.0625), SchemeKind.IMEX1, 1.0, 10)
+        report = max_principle_monitor(records)
+        assert report.first_violation_step == 4
+        assert report.worst_excess > 1e-2
 
 
 class TestRun:
@@ -317,6 +348,26 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert peak - start <= 1.5 * 8 * grid.size
+
+    @pytest.mark.parametrize("scheme,fields", [(SchemeKind.IMEX1, 4.0), (SchemeKind.BDF2, 7.5)])
+    def test_run_holds_only_its_buffers(self, scheme, fields):
+        # A run holds its 2-slot ring, a half spectrum (~1 field) and its multipliers
+        # (~1/2 field each); bdf2 adds two f slots and a right-hand side, while imex1
+        # forms f(u) and its right-hand side in the output slot.
+        grid = TorusGrid(2, 64)
+        u0 = Field.from_function(grid, lambda x, y: np.sin(x) * np.cos(y))
+        grid._rfft_k2  # the grid caches its tables once for every run on it
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            states = psg.schemes._advance(u0, SG, scheme, 0.1)
+            for _ in range(3):
+                state = next(states)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert state.step_index == 3
+        assert held <= fields * 8 * grid.size
 
     def test_observer_errors_propagate(self):
         u0 = Field.zeros(TorusGrid(1, 64))
