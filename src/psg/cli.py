@@ -7,6 +7,8 @@ Exit codes: 0 clean, 1 usage or input error, 2 runtime failure,
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -183,6 +185,10 @@ def cmd_sweep(args) -> int:
     # the base config only needs a tau that is valid for the run length.
     t_final = _t_final(args)
     config = _build_config(args, tau=t_final if t_final is not None else taus[0])
+    existing = next(p for p in (args.out, *args.out.parents) if p.exists())  # --out is made after the sweep: check it now
+    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+        code = errno.EACCES if existing.is_dir() else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(args.out))
     sweep = stability_sweep(config, taus)
     args.out.mkdir(parents=True, exist_ok=True)
     io.write_sweep_csv(args.out / "sweep.csv", sweep)

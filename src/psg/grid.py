@@ -208,12 +208,14 @@ def inverse_transform(c: SpectralCoeffs) -> Field:
 
 
 def _apply_multiplier(grid: TorusGrid, values: np.ndarray, mult: np.ndarray,
-                      spec=None, out=None) -> tuple[Field, np.ndarray]:
-    """(result, scaled rfftn half spectrum) of values times mult; written into spec and out when given."""
-    axes = tuple(range(grid.dim))
-    spec = np.fft.rfftn(values, axes=axes, out=spec)
+                      spec=None, out=None, weights=None) -> tuple[Field, float | None]:
+    """values times mult (in out if given), and sum(weights * |spectrum * mult|^2) if weights are given."""
+    spec = np.fft.rfftn(values, axes=tuple(range(grid.dim)), out=spec)
     spec *= mult
-    return Field(grid, np.fft.irfftn(spec, s=grid.shape, axes=axes, out=out)), spec
+    total = None if weights is None else float(np.sum(weights * (spec.real**2 + spec.imag**2)))
+    if grid.dim == 2:  # irfftn's stages, run in spec: no second half spectrum, but spec is overwritten
+        np.fft.ifft(spec, axis=0, out=spec)
+    return Field(grid, np.fft.irfft(spec, n=grid.n_per_axis, axis=-1, out=out)), total
 
 
 def laplacian(f: Field) -> Field:

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Field, NonFiniteError, integrate
+from .grid import Field, NonFiniteError, _apply_multiplier, integrate
 
 __all__ = [
     "ModelKind",
@@ -67,10 +67,15 @@ class StandardForm(NamedTuple):
 
 def nonlinearity(kind: ModelKind, u: Field, out: np.ndarray | None = None) -> Field:
     """Pointwise reaction term: sin(u) for sine-Gordon, u - u^3 for Allen-Cahn; written into out if given."""
+    return Field(u.grid, _reaction(kind, u.values, out))
+
+
+def _reaction(kind: ModelKind, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """nonlinearity's values without its finiteness check (a step's solve checks its result)."""
     if kind is ModelKind.SINE_GORDON:
-        return Field(u.grid, np.sin(u.values, out=out))
-    cube = np.power(u.values, 3, out=out)
-    return Field(u.grid, np.subtract(u.values, cube, out=cube))
+        return np.sin(values, out=out)
+    cube = np.power(values, 3, out=out)
+    return np.subtract(values, cube, out=cube)
 
 
 def potential_values(kind: ModelKind, u_samples) -> np.ndarray:
@@ -88,13 +93,13 @@ def energy(model: ModelSpec, u: Field) -> float:
     Laplacian the schemes invert, Nyquist mode included, so this is the
     discrete energy the schemes dissipate.
     """
-    return _energy(model, u, np.fft.rfftn(u.values))
+    return _energy(model, u, _apply_multiplier(u.grid, u.values, 1.0, weights=u.grid._rfft_wk2)[1])
 
 
-def _energy(model: ModelSpec, u: Field, u_hat: np.ndarray) -> float:
-    """energy(model, u) from u_hat = rfftn(u.values): -integral(u * Lap u) by Parseval."""
+def _energy(model: ModelSpec, u: Field, weighted: float) -> float:
+    """energy(model, u) from weighted = sum(_rfft_wk2 * |rfftn(u.values)|^2): -integral(u * Lap u) by Parseval."""
     g = u.grid
-    gradient = float(np.sum(g._rfft_wk2 * (u_hat.real**2 + u_hat.imag**2))) * g.spacing**g.dim / g.size
+    gradient = weighted * g.spacing**g.dim / g.size
     if not np.isfinite(gradient):
         raise NonFiniteError("gradient energy is not finite")
     return integrate(Field(g, potential_values(model.kind, u.values))) + 0.5 * model.kappa**2 * gradient

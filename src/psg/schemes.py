@@ -13,13 +13,13 @@ step with exactly one imex1 step so runs are reproducible.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .grid import Field, NonFiniteError, _apply_multiplier, _helmholtz_multiplier
-from .models import ModelSpec, _energy, _increment_energy, nonlinearity
+from .models import ModelSpec, _energy, _increment_energy, _reaction
 
 __all__ = [
     "SchemeKind",
@@ -45,8 +45,8 @@ class SchemeState:
     step_index: int
     u_curr: Field
     u_prev: Field | None = None
-    # The half spectrum the solve inverted to u_curr (none before the first step).
-    u_hat: np.ndarray | None = field(default=None, compare=False, repr=False)
+    # sum(_rfft_wk2 * |rfftn(u_curr)|^2), taken in the solve when _advance has weights (run's)
+    gradient_sum: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tau < np.inf:
@@ -85,18 +85,18 @@ Observer = Callable[[SchemeState, StepRecord], None]
 
 
 def _imex1_kernel(u: Field, model: ModelSpec, tau: float, mult: np.ndarray,
-                  f, rhs, spec, out) -> tuple[Field, np.ndarray]:
-    """One imex1 step from u (mult has a=1) in the given buffers, which may all be out: (u_next, its u_hat)."""
-    nonlinearity(model.kind, u, out=f)
+                  f, rhs, spec, out, weights) -> tuple[Field, float | None]:
+    """One imex1 step from u (mult has a=1) in the given buffers, which may all be out: (u_next, its gradient_sum)."""
+    _reaction(model.kind, u.values, out=f)
     np.multiply(tau, f, out=rhs)
     np.add(u.values, rhs, out=rhs)
-    return _apply_multiplier(u.grid, rhs, mult, spec, out)
+    return _apply_multiplier(u.grid, rhs, mult, spec, out, weights)
 
 
 def _bdf2_kernel(state: SchemeState, f_old: np.ndarray, mult: np.ndarray,
-                 f, rhs, spec, out) -> tuple[Field, np.ndarray]:
+                 f, rhs, spec, out, weights) -> tuple[Field, float | None]:
     """One bdf2 step (mult has a=3/2; f_old holds f(u_prev)), as _imex1_kernel; terms are summed in out."""
-    nonlinearity(state.model.kind, state.u_curr, out=f)
+    _reaction(state.model.kind, state.u_curr.values, out=f)
     np.multiply(2.0, state.u_curr.values, out=rhs)
     term = np.multiply(0.5, state.u_prev.values, out=out)
     np.subtract(rhs, term, out=rhs)
@@ -104,13 +104,13 @@ def _bdf2_kernel(state: SchemeState, f_old: np.ndarray, mult: np.ndarray,
     np.subtract(term, f_old, out=term)
     np.multiply(state.tau, term, out=term)
     np.add(rhs, term, out=rhs)
-    return _apply_multiplier(state.u_curr.grid, rhs, mult, spec, term)
+    return _apply_multiplier(state.u_curr.grid, rhs, mult, spec, term, weights)
 
 
 def _record(state: SchemeState) -> StepRecord:
     u = state.u_curr
     u_min, u_max = u.min(), u.max()
-    e = _energy(state.model, u, state.u_hat)
+    e = _energy(state.model, u, state.gradient_sum)
     mod = None
     if state.u_prev is not None:
         mod = e + _increment_energy(u, state.u_prev, state.tau)
@@ -125,7 +125,7 @@ def _record(state: SchemeState) -> StepRecord:
     )
 
 
-def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float) -> Iterator[SchemeState]:
+def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, weights=None) -> Iterator[SchemeState]:
     """Yield the state after steps 1, 2, ... without end; the caller decides when to stop.
 
     The steps run in buffers this generator owns, which hold each yielded state's
@@ -145,10 +145,10 @@ def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float) -> Ite
         out = ring[step % 2]
         f, rhs = (fs[step % 2], rhs_buf) if bdf2 else (out, out)
         if bdf2 and step > 1:  # f(u_prev) is where the step before put f(its u_curr)
-            u_next, u_hat = _bdf2_kernel(state, fs[(step - 1) % 2], mults[1], f, rhs, spec, out)
+            u_next, total = _bdf2_kernel(state, fs[(step - 1) % 2], mults[1], f, rhs, spec, out, weights)
         else:  # BDF2 kick-starts with one imex1 step
-            u_next, u_hat = _imex1_kernel(state.u_curr, model, tau, mults[0], f, rhs, spec, out)
-        state = SchemeState(scheme, model, tau, step, u_next, state.u_curr, u_hat)
+            u_next, total = _imex1_kernel(state.u_curr, model, tau, mults[0], f, rhs, spec, out, weights)
+        state = SchemeState(scheme, model, tau, step, u_next, state.u_curr, total)
         yield state
 
 
@@ -163,8 +163,7 @@ def run(
     """Advance n_steps steps, emitting one StepRecord per step (steps 1..n_steps).
 
     Observers are invoked as observer(state, record) after each step,
-    with a state holding its own copies of u_curr, u_prev and u_hat, so
-    they may keep it.
+    with a state holding its own copies of u_curr and u_prev, so they may keep it.
     Aborts with NonFiniteError naming the first bad step if any iterate
     or its diagnostics stop being finite. Deterministic given identical inputs.
     """
@@ -172,7 +171,7 @@ def run(
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
 
     records: list[StepRecord] = []
-    states = _advance(u0, model, scheme, tau)
+    states = _advance(u0, model, scheme, tau, weights=u0.grid._rfft_wk2)
     kept_prev = u0  # a field of its own with the values of the next state's u_prev
     for step in range(1, n_steps + 1):
         # Overflow in the explicit term or the energy shows up as non-finite
@@ -188,7 +187,7 @@ def run(
         if observers:
             # the next advance overwrites the state's arrays; observers get copies they may keep
             u_curr = Field(state.u_curr.grid, state.u_curr.values.copy())
-            state = replace(state, u_curr=u_curr, u_prev=kept_prev, u_hat=state.u_hat.copy())
+            state = replace(state, u_curr=u_curr, u_prev=kept_prev)
             kept_prev = u_curr
         for obs in observers:
             obs(state, record)

@@ -359,3 +359,17 @@ def test_sweep_bad_init_is_input_error(make_init, tmp_path, capsys):
     assert printed.err.startswith("error: ") and printed.err.count("\n") == 1
     assert printed.out == ""
     assert not out.exists()
+
+
+def test_sweep_unusable_out_fails_before_sweep(tmp_path, monkeypatch, capsys):
+    # --out is made after the sweep, but one that cannot be made fails before any tau runs.
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("stability_sweep ran")
+    monkeypatch.setattr(psg.cli, "stability_sweep", no_sweep)
+    (tmp_path / "afile").write_text("")
+    argv = ["sweep", "--model", "sg", "--scheme", "imex1", "--dim", "1", "--kappa", "0.1", "--n", "16",
+            "--tfinal", "1", "--init", "pi_sin", "--tau-list", "0.1,0.5", "--out", str(tmp_path / "afile" / "sub")]
+    assert main(argv) == 2
+    printed = capsys.readouterr()
+    assert printed.err.startswith("runtime failure: ") and "Not a directory" in printed.err
+    assert printed.out == ""

@@ -1,5 +1,7 @@
 """Spectral infrastructure: grids, transforms, multiplier operators, quadrature."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -236,6 +238,37 @@ class TestHelmholtz:
         separate = 3.0 * helmholtz_solve(f, 0.4, 1.0, 0.5).values + helmholtz_solve(g, 0.4, 1.0, 0.5).values
         assert np.max(np.abs(combined.values - separate)) <= 1e-12
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_apply_multiplier_is_irfftn_bitwise(self, dim, rng):
+        # The in-place inverse runs irfftn's own stages, with or without given buffers.
+        grid = TorusGrid(dim, 64)
+        v = rng.uniform(-np.pi, np.pi, grid.shape)  # rough: every mode, Nyquist included
+        axes = tuple(range(dim))
+        for mult in (_helmholtz_multiplier(grid, 0.3, 1.5, 0.1), -grid._rfft_k2, grid._rfft_deriv[-1]):
+            expected = np.fft.irfftn(np.fft.rfftn(v, axes=axes) * mult, s=grid.shape, axes=axes).tobytes()
+            assert _apply_multiplier(grid, v, mult)[0].values.tobytes() == expected
+            spec, out = np.empty(grid._rfft_k2.shape, dtype=np.complex128), np.empty(grid.shape)
+            assert _apply_multiplier(grid, v, mult, spec, out)[0].values.tobytes() == expected
+
+    def test_apply_multiplier_allocates_no_half_spectrum(self):
+        # A step's solve at 2D n=256: the inverse runs in spec, where irfftn's column
+        # stage allocated a second half spectrum (~1 field). What is left is numpy's
+        # buffer for casting the real multiplier to complex (8192 values, 1/4 field
+        # here; the whole spectrum at n <= 64) and the finiteness check's mask (1/8).
+        grid = TorusGrid(2, 256)
+        v = Field.from_function(grid, lambda x, y: np.sin(x) * np.cos(2 * y)).values
+        spec, out = np.empty(grid._rfft_k2.shape, dtype=np.complex128), np.empty(grid.shape)
+        mult = _helmholtz_multiplier(grid, 0.2, 1.0, 0.1)
+        _apply_multiplier(grid, v, mult, spec, out)  # numpy's plan caches fill on the first call
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _apply_multiplier(grid, v, mult, spec, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 0.5 * 8 * grid.size
+
     @settings(max_examples=60, deadline=None)
     @given(
         dim=st.sampled_from([1, 2]),
@@ -255,7 +288,8 @@ class TestHelmholtz:
 
         forward = Field(grid, a * u.values - b * kappa**2 * laplacian(u).values)
         assert np.max(np.abs(helmholtz_solve(forward, kappa, a, b).values - u.values)) <= 1e-12 * u.linf()
-        solved, u_hat = _apply_multiplier(grid, u.values, _helmholtz_multiplier(grid, kappa, a, b))
+        mult = _helmholtz_multiplier(grid, kappa, a, b)
+        solved, weighted = _apply_multiplier(grid, u.values, mult, weights=grid._rfft_wk2)
         recovered = a * solved.values - b * kappa**2 * laplacian(solved).values
         assert np.max(np.abs(recovered - u.values)) <= 1e-12 * u.linf()
 
@@ -265,7 +299,7 @@ class TestHelmholtz:
             potential = integrate(Field(grid, potential_values(kind, solved.values)))
             # relative to the sum of the terms' magnitudes, as sine-Gordon's may cancel
             scale = integrate(Field(grid, np.abs(potential_values(kind, solved.values)))) + abs(reference - potential)
-            assert abs(_energy(model, solved, u_hat) - reference) <= 1e-12 * scale
+            assert abs(_energy(model, solved, weighted) - reference) <= 1e-12 * scale
 
 
 class TestIntegrate:

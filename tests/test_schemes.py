@@ -277,24 +277,25 @@ class TestRun:
         assert run(u0, SG, SchemeKind.BDF2, 0.2, 10) == run(u0, SG, SchemeKind.BDF2, 0.2, 10)
 
     def test_records_match_recomputation(self, rng):
-        # The recorder takes E from the half spectrum the solve ended with;
+        # The recorder takes E from the Parseval sum the solve took of its spectrum;
         # energy() transforms u_curr afresh, so the two agree to roundoff.
         grid = TorusGrid(1, 64)
         u0 = random_smooth_field(grid, rng)
         captured = []
         records = run(u0, SG, SchemeKind.BDF2, 0.25, 15, observers=[lambda s, r: captured.append(s)])
         for record, s in zip(records, captured):
-            assert record.energy == psg.models._energy(SG, s.u_curr, s.u_hat)
+            assert record.energy == psg.models._energy(SG, s.u_curr, s.gradient_sum)
             assert record.energy == pytest.approx(energy(SG, s.u_curr), rel=1e-12)
             assert record.modified_energy == pytest.approx(modified_energy(SG, s.u_curr, s.u_prev, 0.25), rel=1e-12)
             assert record.linf == s.u_curr.linf()
 
     @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
     def test_one_transform_pair_and_nonlinearity_per_step(self, scheme, monkeypatch):
-        # A recorded step is its Helmholtz solve's rfftn/irfftn pair and one
-        # evaluation of f: the energy reuses the solve's spectrum, and BDF2
-        # carries f(u_prev) over from the step before (the kick-start's f(u0)).
-        counts = {"rfftn": 0, "irfftn": 0, "nonlinearity": 0}
+        # A recorded step is its Helmholtz solve's transform pair (in 2D the inverse
+        # is irfftn's stages, ifft then irfft) and one evaluation of f: the energy
+        # reuses the solve's spectrum, and BDF2 carries f(u_prev) over from the step
+        # before (the kick-start's f(u0)).
+        counts = {"rfftn": 0, "ifft": 0, "irfft": 0, "irfftn": 0, "_reaction": 0}
 
         def counted(owner, name):
             original = getattr(owner, name)
@@ -304,13 +305,13 @@ class TestRun:
                 return original(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
-        counted(np.fft, "rfftn")
-        counted(np.fft, "irfftn")
-        counted(psg.schemes, "nonlinearity")
+        for name in ("rfftn", "ifft", "irfft", "irfftn"):
+            counted(np.fft, name)
+        counted(psg.schemes, "_reaction")
         u0 = Field.from_function(TorusGrid(2, 16), lambda x, y: np.sin(x) * np.cos(y))
         records = run(u0, SG, scheme, 0.1, 7)
         assert len(records) == 7
-        assert counts == {"rfftn": 7, "irfftn": 7, "nonlinearity": 7}
+        assert counts == {"rfftn": 7, "ifft": 7, "irfft": 7, "irfftn": 0, "_reaction": 7}
 
     @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
     def test_observer_state_outlives_later_steps(self, scheme, rng):
@@ -320,13 +321,12 @@ class TestRun:
 
         def keep_step_3(s, r):
             if s.step_index == 3:
-                kept.append((s, s.u_curr.values.copy(), s.u_prev.values.copy(), s.u_hat.copy()))
+                kept.append((s, s.u_curr.values.copy(), s.u_prev.values.copy()))
 
         run(u0, SG, scheme, 0.1, 10, observers=[keep_step_3])
-        (state, u_curr, u_prev, u_hat), = kept
+        (state, u_curr, u_prev), = kept
         assert np.array_equal(state.u_curr.values, u_curr)
         assert np.array_equal(state.u_prev.values, u_prev)
-        assert np.array_equal(state.u_hat, u_hat)
 
     @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
     @pytest.mark.parametrize("model", [SG, AC], ids=["sg", "ac"])
@@ -348,6 +348,22 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert peak - start <= 1.5 * 8 * grid.size
+
+    @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
+    def test_one_finiteness_check_per_step(self, scheme, monkeypatch):
+        # Only the solved field is checked: a non-finite f(u) reaches it in the same step.
+        u0 = Field.from_function(TorusGrid(2, 16), lambda x, y: np.sin(x) * np.cos(y))
+        checks = []
+        original = Field.__post_init__
+
+        def counted(self):
+            checks.append(1)
+            original(self)
+        monkeypatch.setattr(Field, "__post_init__", counted)
+        states = psg.schemes._advance(u0, SG, scheme, 0.1)
+        for _ in range(10):
+            next(states)
+        assert len(checks) == 10
 
     @pytest.mark.parametrize("scheme,fields", [(SchemeKind.IMEX1, 4.0), (SchemeKind.BDF2, 7.5)])
     def test_run_holds_only_its_buffers(self, scheme, fields):
