@@ -20,7 +20,7 @@ from .grid import NonFiniteError
 from .models import ModelKind
 from .schemes import SchemeKind, run
 from .steady_states import Regime, build_periodic_orbit, kink_eval, residual
-from . import io
+from . import __version__, io
 
 MONITOR_NAMES = ("energy", "modified_energy", "maxp")
 
@@ -113,6 +113,8 @@ def _report_lines(config: ExperimentConfig, reports: dict[str, MonitorReport],
                   final_energy: float, final_linf: float, exit_code: int) -> list[str]:
     lines = [
         "command: run",
+        f"psg_version: {__version__}",
+        f"numpy_version: {np.__version__}",
         f"model: {config.model_kind.value}",
         f"scheme: {config.scheme.value}",
         f"dim: {config.dim}",

@@ -110,10 +110,11 @@ def _bdf2_kernel(state: SchemeState, f_old: np.ndarray, mult: np.ndarray,
 def _record(state: SchemeState) -> StepRecord:
     u = state.u_curr
     u_min, u_max = u.min(), u.max()
-    e = _energy(state.model, u, state.gradient_sum)
+    scratch = np.empty(u.grid.shape)  # the record's one transient field: each sum is formed in it
+    e = _energy(state.model, u, state.gradient_sum, scratch)
     mod = None
     if state.u_prev is not None:
-        mod = e + _increment_energy(u, state.u_prev, state.tau)
+        mod = e + _increment_energy(u, state.u_prev, state.tau, scratch)
     return StepRecord(
         step_index=state.step_index,
         t=state.t_curr,

@@ -43,6 +43,14 @@ class TestRunCommand:
         assert "energy_violated: false" in report
         assert "exit_code: 0" in report
 
+    def test_report_names_versions(self, tmp_path):
+        # what produced the energies, which agree across hosts only to roundoff
+        out = tmp_path / "v"
+        assert main(run_args(out)) == 0
+        lines = (out / "report.txt").read_text().splitlines()
+        assert f"psg_version: {psg.__version__}" in lines
+        assert f"numpy_version: {np.__version__}" in lines
+
     def test_energy_monitor_exit_code(self, tmp_path):
         assert main(run_args(tmp_path / "a", tau="2.1", extra=["--monitors", "energy"])) == 3
         assert main(run_args(tmp_path / "b", tau="2", extra=["--monitors", "energy"])) == 0

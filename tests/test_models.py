@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings, strategies as st
 
 from psg import (
     Field,
     GeneralModelParams,
     ModelKind,
     ModelSpec,
+    NonFiniteError,
     TorusGrid,
     energy,
     first_derivative,
@@ -19,6 +21,7 @@ from psg import (
     potential_values,
     rescale_general_to_standard,
 )
+from psg.models import _increment_energy, _potential_sum
 from conftest import random_smooth_field
 
 # kappa^2*pi^3/2 + 2*pi*J0(pi) for kappa = 0.1, frozen from an adaptive
@@ -110,6 +113,36 @@ class TestPotentials:
             f = [float(nonlinearity(kind, Field.constant(grid, v)).values[0]) for v in u]
             assert np.max(np.abs(-dF - f)) <= 1e-8
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2])),
+                    min_size=1, max_size=300))
+    def test_sine_gordon_sum_matches_cos(self, samples):
+        # The recorder sums cos u through tan(u/2); each value is within 1.5 ulp(1) of np.cos.
+        u = np.array(samples)
+        assert abs(_potential_sum(SG, u) - float(np.cos(u).sum())) <= 4 * np.finfo(float).eps * u.size
+
+    def test_sine_gordon_sum_exact_at_extremes(self):
+        assert _potential_sum(SG, np.array([0.0])) == 1.0
+        assert _potential_sum(SG, np.array([np.pi])) == -1.0
+        assert _potential_sum(SG, np.array([-np.pi])) == -1.0
+        assert _potential_sum(SG, np.full(1000, np.pi)) == -1000.0
+
+    def test_allen_cahn_sum_bitwise_and_in_out(self, rng):
+        u = rng.uniform(-3.0, 3.0, (16, 16))
+        out = np.empty_like(u)
+        assert _potential_sum(AC, u, out) == float(potential_values(AC, u).sum())
+        assert np.array_equal(out, potential_values(AC, u))
+
+    def test_overflowing_sums_raise(self):
+        # finite u whose squares overflow (as run meets them in a blow-up, warnings silenced)
+        grid = TorusGrid(1, 8)
+        big, small = Field.constant(grid, 1e200), Field.constant(grid, -1e200)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError, match="potential"):
+                _potential_sum(AC, big.values)
+            with pytest.raises(NonFiniteError, match="increment"):
+                _increment_energy(big, small, 0.1)
+
 
 class TestEnergy:
     def test_constant_fields_exact(self):
@@ -189,6 +222,14 @@ class TestModifiedEnergy:
         u_prev = Field.constant(grid, 0.0)
         expected = -2 * np.pi + 0.5 * np.pi**2 * 2 * np.pi
         assert modified_energy(model, u_curr, u_prev, 0.5) == pytest.approx(expected, rel=1e-13)
+
+    def test_increment_bitwise_and_in_out(self, rng):
+        grid = TorusGrid(2, 16)
+        u_curr, u_prev = random_smooth_field(grid, rng), random_smooth_field(grid, rng)
+        out = np.empty(grid.shape)
+        expected = integrate(Field(grid, (u_curr.values - u_prev.values) ** 2)) / (4.0 * 0.3)
+        assert _increment_energy(u_curr, u_prev, 0.3, out) == expected
+        assert np.array_equal(out, (u_curr.values - u_prev.values) ** 2)
 
     def test_mismatched_grids_rejected(self):
         model = ModelSpec(SG, 0.2)

@@ -40,6 +40,22 @@ def observed(u0, model, scheme, tau, n_steps):
     return states
 
 
+def peak_fields_after_warmup(grid, step):
+    """Peak memory step allocates over 10 calls after 3 warm-up calls, in field sizes (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            step()
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(10):
+            step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / (8 * grid.size)
+
+
 def trig_poly_field(grid, coeffs, amplitude):
     """amplitude * p / max(|p|, 1) for the trigonometric polynomial p with the given (cos, sin) pairs; p(x)p(y) in 2D."""
     def poly(x):
@@ -336,18 +352,18 @@ class TestRun:
         grid = TorusGrid(2, 64)
         u0 = Field.from_function(grid, lambda x, y: np.sin(x) * np.cos(y))
         states = psg.schemes._advance(u0, model, scheme, 0.1)
-        tracemalloc.start()
-        try:
-            for _ in range(3):
-                next(states)
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            for _ in range(10):
-                next(states)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - start <= 1.5 * 8 * grid.size
+        assert peak_fields_after_warmup(grid, lambda: next(states)) <= 1.5
+
+    @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
+    @pytest.mark.parametrize("model", [SG, AC], ids=["sg", "ac"])
+    def test_recorded_steps_allocate_one_field(self, model, scheme):
+        # A step as run takes it (advance with the energy weights, then record): the
+        # solve's Parseval sum takes half a field, and the record forms its potential
+        # and increment sums in one transient field.
+        grid = TorusGrid(2, 64)
+        u0 = Field.from_function(grid, lambda x, y: np.sin(x) * np.cos(y))
+        states = psg.schemes._advance(u0, model, scheme, 0.1, weights=grid._rfft_wk2)
+        assert peak_fields_after_warmup(grid, lambda: psg.schemes._record(next(states))) <= 1.5
 
     @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
     def test_one_finiteness_check_per_step(self, scheme, monkeypatch):
