@@ -30,6 +30,7 @@ from .schemes import (
     SchemeState,
     StepRecord,
     run,
+    run_steps,
 )
 from .steady_states import (
     FirstIntegralError,

@@ -18,7 +18,7 @@ from .config import ExperimentConfig, initial_field
 from .diagnostics import MonitorReport, energy_monitor, max_principle_monitor, stability_sweep
 from .grid import NonFiniteError
 from .models import ModelKind
-from .schemes import SchemeKind, run
+from .schemes import SchemeKind, run_steps
 from .steady_states import Regime, build_periodic_orbit, kink_eval, residual
 from . import __version__, io
 
@@ -147,15 +147,12 @@ def cmd_run(args) -> int:
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    observers = []
-    if config.snap_every > 0:
-        def snapshot_observer(state, record):
-            if record.step_index % config.snap_every == 0:
-                io.write_snapshot(out / f"snap_{record.step_index}.psg", state.u_curr,
-                                  record.t, config.kappa)
-        observers.append(snapshot_observer)
-
-    records = run(u0, config.model, config.scheme, config.tau, config.step_count, observers)
+    records = []
+    for state, record in run_steps(u0, config.model, config.scheme, config.tau, config.step_count):
+        records.append(record)
+        if config.snap_every > 0 and record.step_index % config.snap_every == 0:
+            # written before the next step overwrites the state's buffers
+            io.write_snapshot(out / f"snap_{record.step_index}.psg", state.u_curr, record.t, config.kappa)
     io.write_series_csv(out / "series.csv", records)
 
     reports = {

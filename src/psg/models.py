@@ -74,7 +74,8 @@ def _reaction(kind: ModelKind, values: np.ndarray, out: np.ndarray | None = None
     """nonlinearity's values without its finiteness check (a step's solve checks its result)."""
     if kind is ModelKind.SINE_GORDON:
         return np.sin(values, out=out)
-    cube = np.power(values, 3, out=out)
+    cube = np.multiply(values, values, out=out)  # two rounded multiplies: the same bits on every host
+    cube *= values
     return np.subtract(values, cube, out=cube)
 
 

@@ -13,8 +13,8 @@ step with exactly one imex1 step so runs are reproducible.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -25,7 +25,7 @@ __all__ = [
     "SchemeKind",
     "SchemeState",
     "StepRecord",
-    "Observer",
+    "run_steps",
     "run",
 ]
 
@@ -79,9 +79,6 @@ class StepRecord:
         expected = max(abs(self.u_min), abs(self.u_max))
         if self.linf != expected:
             raise ValueError(f"linf {self.linf} inconsistent with u_min/u_max (expected {expected})")
-
-
-Observer = Callable[[SchemeState, StepRecord], None]
 
 
 def _imex1_kernel(u: Field, model: ModelSpec, tau: float, mult: np.ndarray,
@@ -153,27 +150,18 @@ def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, weight
         yield state
 
 
-def run(
-    u0: Field,
-    model: ModelSpec,
-    scheme: SchemeKind,
-    tau: float,
-    n_steps: int,
-    observers: Sequence[Observer] = (),
-) -> list[StepRecord]:
-    """Advance n_steps steps, emitting one StepRecord per step (steps 1..n_steps).
+def run_steps(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float,
+              n_steps: int) -> Iterator[tuple[SchemeState, StepRecord]]:
+    """Yield (state, record) after each of steps 1..n_steps.
 
-    Observers are invoked as observer(state, record) after each step,
-    with a state holding its own copies of u_curr and u_prev, so they may keep it.
-    Aborts with NonFiniteError naming the first bad step if any iterate
-    or its diagnostics stop being finite. Deterministic given identical inputs.
+    A yielded state's arrays live in the stepper's buffers and stay valid only
+    until the next step: copy what must outlive it. After step 1, u_prev is the
+    caller's own u0. Aborts with NonFiniteError naming the first bad step if any
+    iterate or its diagnostics stop being finite. Deterministic given identical inputs.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-
-    records: list[StepRecord] = []
     states = _advance(u0, model, scheme, tau, weights=u0.grid._rfft_wk2)
-    kept_prev = u0  # a field of its own with the values of the next state's u_prev
     for step in range(1, n_steps + 1):
         # Overflow in the explicit term or the energy shows up as non-finite
         # values, which the Field constructor rejects; silence the intermediate
@@ -184,13 +172,9 @@ def run(
                 record = _record(state)
         except NonFiniteError as exc:
             raise NonFiniteError(f"non-finite field values at step {step}") from exc
-        records.append(record)
-        if observers:
-            # the next advance overwrites the state's arrays; observers get copies they may keep
-            u_curr = Field(state.u_curr.grid, state.u_curr.values.copy())
-            state = replace(state, u_curr=u_curr, u_prev=kept_prev)
-            kept_prev = u_curr
-        for obs in observers:
-            obs(state, record)
-        del state  # frees the copies no observer kept (all but kept_prev) before the next step allocates
-    return records
+        yield state, record
+
+
+def run(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, n_steps: int) -> list[StepRecord]:
+    """The StepRecord of each of steps 1..n_steps, as run_steps yields them."""
+    return [record for _, record in run_steps(u0, model, scheme, tau, n_steps)]

@@ -26,6 +26,7 @@ from psg import (
     max_principle_monitor,
     read_snapshot,
     run,
+    run_steps,
     write_heatmap,
     write_series_csv,
     write_snapshot,
@@ -218,12 +219,11 @@ def test_criterion_8_2d_qualitative_reproduction(tmp_path):
     def simulate(kind, init_name):
         cfg = ExperimentConfig(model_kind=kind, scheme=SchemeKind.BDF2, dim=2, kappa=kappa,
                                tau=tau, n_per_axis=n, n_steps=200, init=init_name)
-        snapshots = {}
-
-        def grab(state, record):
-            if record.step_index in compare_steps:
-                snapshots[record.step_index] = state.u_curr
-        records = run(initial_field(cfg), cfg.model, cfg.scheme, tau, cfg.n_steps, [grab])
+        records, snapshots = [], {}
+        for state, record in run_steps(initial_field(cfg), cfg.model, cfg.scheme, tau, cfg.n_steps):
+            records.append(record)
+            if record.step_index in compare_steps:  # the next step overwrites the state's buffers
+                snapshots[record.step_index] = Field(state.u_curr.grid, state.u_curr.values.copy())
         return records, snapshots
 
     records_sg, snaps_sg = simulate(SG, "pi_sin_sin")
