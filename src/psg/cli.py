@@ -71,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     steady_p.add_argument("--c", type=float, default=0.0, help="kink shift constant")
     steady_p.add_argument("--sign", choices=["+", "-"], default="+")
     steady_p.add_argument("--C", type=float, default=0.0, dest="C", help="first-integral constant (periodic)")
-    steady_p.add_argument("--points", type=int, default=64, help="Gauss-Legendre order (periodic)")
     steady_p.add_argument("--out", type=Path, required=True, help="output directory")
     steady_p.set_defaults(func=cmd_steady)
 
@@ -204,7 +203,7 @@ def cmd_steady(args) -> int:
     sign = 1 if args.sign == "+" else -1
     # every value is computed (and kappa validated) before anything is written or printed
     if args.case == "periodic":
-        orbit = build_periodic_orbit(args.C, args.kappa, quad_points=args.points)
+        orbit = build_periodic_orbit(args.C, args.kappa)
         x, u = orbit.full_profile()
         if sign < 0:
             u = -u

@@ -53,8 +53,9 @@ def write_snapshot(path, field: Field, t: float, kappa: float) -> None:
     header = SNAPSHOT_MAGIC + struct.pack("<HH", SNAPSHOT_VERSION, grid.dim)
     header += struct.pack(f"<{grid.dim}I", *grid.shape)
     header += struct.pack("<dd", t, kappa)
-    payload = np.ascontiguousarray(field.values, dtype="<f8").tobytes()
-    Path(path).write_bytes(header + payload)
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(memoryview(np.ascontiguousarray(field.values, dtype="<f8")))  # the field's own buffer, no copy
 
 
 def read_snapshot(path) -> tuple[Field, float, float]:

@@ -10,21 +10,22 @@ C classifies every bounded solution:
                  and the constants +-pi
     -1 < C < 1   periodic orbits with amplitude arccos(-C) < pi
 
-Periodic orbits are built by quadrature of u' = (sqrt(2)/kappa)*
-sqrt(C + cos u) between turning points. The substitution
-sin(u/2) = sin(A/2)*sin(theta), A = arccos(-C), removes the
-inverse-square-root endpoint singularity, leaving the smooth integrand
-1/sqrt(1 - m*sin^2(theta)) with m = (1+C)/2 on theta in [-pi/2, pi/2].
-The half profile is then recovered on a uniform x grid by Newton
-inversion of the accumulated quadrature, and extended by even/odd
-reflection. Shifts u(.+x0) + 2*m*pi of any solution are again solutions,
-so profiles are emitted in the normalization |u(0)| <= pi with the left
-turning point at x = 0.
+Periodic orbits are the pendulum's closed form
+sin(u/2) = sqrt(m)*sn(x/kappa - K(m) | m) with m = (1+C)/2 = sin^2(A/2),
+A = arccos(-C), and period 4*kappa*K(m). The complete elliptic integral K
+and the Jacobi sn come from the arithmetic-geometric mean and its
+descending Landen recurrence, in numpy alone. The increasing half orbit is
+sampled on a uniform x grid and mirrored about its turning point; even/odd
+reflection of caller-supplied branches is checked by reflect_extend.
+Shifts u(.+x0) + 2*m*pi of any solution are again solutions, so profiles
+are emitted in the normalization |u(0)| <= pi with the left turning point
+at x = 0.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,7 +170,7 @@ class SteadyStateCase:
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
-    """Quadrature-built periodic orbit, normalized to the left turning point.
+    """Closed-form periodic orbit, normalized to the left turning point.
 
     half_x/half_u sample the increasing branch on [0, period/2], from
     u = -amplitude (u' = 0) up to u = +amplitude (u' = 0). Even reflection
@@ -182,8 +183,9 @@ class PeriodicOrbit:
     half_u: np.ndarray
 
     def full_profile(self) -> tuple[np.ndarray, np.ndarray]:
-        """One full period on [-period/2, period/2], even-reflected about x = 0."""
-        return reflect_extend(self.half_x, self.half_u, Reflection.EVEN)
+        """One full period on [-period/2, period/2], even-reflected about the turning point x = 0."""
+        return (np.concatenate((-self.half_x[:0:-1], self.half_x)),
+                np.concatenate((self.half_u[:0:-1], self.half_u)))
 
     def periodic_samples(self) -> tuple[np.ndarray, np.ndarray]:
         """Uniform samples of one period (duplicate right endpoint dropped)."""
@@ -202,65 +204,47 @@ class PeriodicOrbit:
         return float(np.max(np.abs(first_integral(u, du, self.case.kappa) - self.case.C)))
 
 
-def _pendulum_integrand(theta: np.ndarray, m: float) -> np.ndarray:
-    return 1.0 / np.sqrt(1.0 - m * np.sin(theta) ** 2)
+def _jacobi_sn(s: np.ndarray, m: float) -> tuple[float, np.ndarray]:
+    """K(m) and sn(s*K(m) | m) by the arithmetic-geometric mean and the descending Landen recurrence.
+
+    The argument s counts quarter periods. c_{n+1} = c_n^2/(4*a_{n+1}) avoids
+    the cancellation in (a_n - b_n)/2, so c falls below eps*a at every m.
+    """
+    a, b, c = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
+    ratios = []
+    while c > np.finfo(np.float64).eps * a:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        c = c * c / (4.0 * a)
+        ratios.append(c / a)
+    phi = 2.0 ** (len(ratios) - 1) * math.pi * s  # 2^N * a_N * s*K with K = pi/(2*a_N)
+    for r in reversed(ratios):
+        phi = 0.5 * (phi + np.arcsin(r * np.sin(phi)))
+    return math.pi / (2.0 * a), np.sin(phi)
 
 
-def _panel_quadrature(lo: np.ndarray, hi: np.ndarray, m: float, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre integral of the pendulum integrand over each [lo_i, hi_i]."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    theta = mid[..., None] + half[..., None] * nodes
-    return half * np.sum(weights * _pendulum_integrand(theta, m), axis=-1)
-
-
-def build_periodic_orbit(C: float, kappa: float, quad_points: int = 64, samples: int = 257) -> PeriodicOrbit:
+def build_periodic_orbit(C: float, kappa: float, samples: int = 257) -> PeriodicOrbit:
     """Construct the periodic orbit with first integral C on a uniform x grid.
 
-    quad_points is the Gauss-Legendre order used for every quadrature
-    panel; the half period is accumulated over a fixed fine partition of
-    theta, and the uniform-in-x profile is obtained by Newton inversion of
-    the accumulated map x(theta) (the monotone integrand makes this
-    globally convergent from a linear-interpolation start).
+    Closed form of the pendulum: sin(u/2) = sqrt(m)*sn(x/kappa - K(m) | m)
+    with m = (1+C)/2 and period 4*kappa*K(m), sampled on [0, period/2].
     """
     if classify(C) is not Regime.PERIODIC:
         raise RegimeError(f"C = {C} is not in the periodic regime (-1 < C < 1)")
     _check_kappa(kappa)
-    if quad_points < 16:
-        raise ValueError(f"quad_points must be >= 16, got {quad_points}")
     if samples < 5:
         raise ValueError(f"samples must be >= 5, got {samples}")
 
     amplitude = float(np.arccos(-C))
     m = (1.0 + C) / 2.0  # = sin^2(amplitude/2)
-    s = np.sqrt(m)
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
-
-    n_panels = 512
-    edges = np.linspace(-np.pi / 2, np.pi / 2, n_panels + 1)
-    panel = kappa * _panel_quadrature(edges[:-1], edges[1:], m, nodes, weights)
-    x_edges = np.concatenate(([0.0], np.cumsum(panel)))
-    half_period = float(x_edges[-1])
-    period = 2.0 * half_period
-
-    # Invert x(theta) at the uniform targets by Newton iteration; x is
-    # evaluated from the nearest accumulated edge plus one local panel.
-    x_target = np.linspace(0.0, half_period, samples)
-    theta = np.interp(x_target, x_edges, edges)
-    for _ in range(60):
-        idx = np.clip(np.searchsorted(x_edges, x_target, side="right") - 1, 0, n_panels - 1)
-        x_at = x_edges[idx] + kappa * _panel_quadrature(edges[idx], theta, m, nodes, weights)
-        step = (x_at - x_target) * np.sqrt(1.0 - m * np.sin(theta) ** 2) / kappa
-        theta = np.clip(theta - step, -np.pi / 2, np.pi / 2)
-        if np.max(np.abs(step)) < 1e-15:
-            break
-
-    u = 2.0 * np.arcsin(s * np.sin(theta))
+    # x/kappa - K runs over [-K, K] on the uniform grid: s = -1 .. 1 quarter periods
+    K, sn = _jacobi_sn(np.linspace(-1.0, 1.0, samples), m)
+    period = float(4.0 * kappa * K)
+    u = 2.0 * np.arcsin(math.sqrt(m) * sn)
     u[0] = -amplitude  # turning points are exact by construction
     u[-1] = amplitude
 
     case = SteadyStateCase(Regime.PERIODIC, float(C), float(kappa), 1, 0.0, amplitude)
-    return PeriodicOrbit(case, period, x_target, u)
+    return PeriodicOrbit(case, period, np.linspace(0.0, period / 2.0, samples), u)
 
 
 def reflect_extend(

@@ -126,12 +126,12 @@ def test_criterion_4_steady_state_residuals():
 
     orbit_worst_resid, orbit_worst_drift = 0.0, 0.0
     for C in (-0.5, 0.0, 0.5):
-        orbit = build_periodic_orbit(C, 0.5, quad_points=64)
+        orbit = build_periodic_orbit(C, 0.5)
         orbit_worst_resid = max(orbit_worst_resid, orbit.residual_max())
         orbit_worst_drift = max(orbit_worst_drift, orbit.first_integral_drift())
     orbit_ok = orbit_worst_resid <= 1e-6 and orbit_worst_drift <= 1e-8
 
-    period = build_periodic_orbit(-0.9999, 1.0, quad_points=64).period
+    period = build_periodic_orbit(-0.9999, 1.0).period
     period_ok = abs(period - 2 * np.pi) <= 1e-2
 
     verdict("criterion 4 (steady-state residuals)", kink_ok and orbit_ok and period_ok,

@@ -213,10 +213,17 @@ class TestSteadyCommand:
         assert main(["steady", "--case", "periodic", "--kappa", "0.5", "--C", "0", "--out", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "classification: periodic" in printed
-        assert "period:" in printed
+        (period,) = [line.split(": ", 1)[1] for line in printed.splitlines() if line.startswith("period:")]
+        assert repr(float(period)) == period  # a plain float repr, not np.float64(...)
         lines = (out / "profile.csv").read_text().splitlines()[1:]
         u = np.array([float(line.split(",")[1]) for line in lines])
         assert np.max(np.abs(u)) == pytest.approx(np.pi / 2, abs=1e-12)
+
+    def test_small_kappa_periodic_profile(self, tmp_path, capsys):
+        out = tmp_path / "p"
+        assert main(["steady", "--case", "periodic", "--kappa", "0.05", "--C", "0.5", "--out", str(out)]) == 0
+        assert "classification: periodic" in capsys.readouterr().out
+        assert len((out / "profile.csv").read_text().splitlines()) == 1 + 2 * 257 - 1
 
     def test_kink_profile(self, tmp_path, capsys):
         out = tmp_path / "k"

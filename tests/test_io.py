@@ -1,6 +1,7 @@
 """File formats: snapshots, heatmaps, CSV emission."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,22 @@ class TestSnapshots:
         path2 = tmp_path / "snap2.psg"
         write_snapshot(path2, loaded, t, kappa)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_write_copies_no_field(self, tmp_path):
+        # The header and then the field's own buffer go to the file; the payload is
+        # not copied to bytes (one copy would be 1 field size, header + payload 2).
+        grid = TorusGrid(2, 256)
+        field = Field.from_function(grid, lambda x, y: np.sin(x) * np.cos(y))
+        path = tmp_path / "snap.psg"
+        write_snapshot(path, field, t=0.5, kappa=0.2)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            write_snapshot(path, field, t=0.5, kappa=0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 0.5 * field.values.nbytes
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.psg"

@@ -1,14 +1,14 @@
 """Steady-state toolkit: classification, kinks, periodic orbits, reflections.
 
-Quadrature-built orbits are verified against two independent oracles from
-scipy.special: the complete elliptic integral for the period (the pendulum
-period in closed form) and the Jacobi elliptic sn for pointwise profile
-values.
+Closed-form orbits (psg's own AGM for K and sn) are verified against two
+independent oracles from scipy.special: the complete elliptic integral for
+the period and the Jacobi elliptic sn for pointwise profile values.
 """
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings, strategies as st
 
 from psg import (
     Field,
@@ -120,12 +120,13 @@ class TestKink:
 
 
 class TestPeriodicOrbit:
-    @pytest.mark.parametrize("C", [-0.5, 0.0, 0.5])
+    @pytest.mark.parametrize("C", [-0.5, 0.0, 0.5, 1.0 - 1e-9])
     def test_period_against_elliptic_oracle(self, C):
         kappa = 0.5
         orbit = build_periodic_orbit(C, kappa)
         m = (1.0 + C) / 2.0
         assert orbit.period == pytest.approx(4.0 * kappa * scipy.special.ellipk(m), rel=1e-12)
+        assert orbit.residual_max() <= 1e-6
 
     @pytest.mark.parametrize("C", [-0.5, 0.0, 0.5])
     def test_profile_against_jacobi_oracle(self, C):
@@ -146,6 +147,35 @@ class TestPeriodicOrbit:
         orbit = build_periodic_orbit(0.0, 0.5)
         assert orbit.residual_max() <= 1e-6
         assert orbit.first_integral_drift() <= 1e-8
+
+    def test_small_kappa_full_orbit(self):
+        # Narrow orbits are exact too: the full profile mirrors the half orbit about
+        # its turning point, with no finite-difference slope check to trip.
+        orbit = build_periodic_orbit(0.5, 0.05)
+        x, u = orbit.full_profile()
+        assert len(x) == 2 * len(orbit.half_x) - 1
+        assert orbit.residual_max() <= 1e-6
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        C=st.one_of(
+            st.floats(-1.0 + 1e-9, 1.0 - 1e-9),
+            st.floats(-9.0, -1.0).map(lambda e: 1.0 - 10.0**e),
+            st.floats(-9.0, -1.0).map(lambda e: -1.0 + 10.0**e),
+        ),
+        kappa=st.floats(0.05, 2.0),
+    )
+    def test_classification_guarantee_property(self, C, kappa):
+        # Every periodic orbit, from the bottom of the well to the separatrix, is the
+        # exact solution with first integral C.
+        orbit = build_periodic_orbit(C, kappa)
+        m = (1.0 + C) / 2.0
+        assert orbit.period == pytest.approx(4.0 * kappa * scipy.special.ellipk(m), rel=1e-12)
+        assert orbit.residual_max() <= 1e-6
+        assert orbit.first_integral_drift() <= 1e-8
+        assert np.all(np.diff(orbit.half_u) > 0)
+        x, u = orbit.full_profile()
+        assert np.array_equal(u, u[::-1]) and np.array_equal(x, -x[::-1])
 
     def test_classification_constant_along_orbit(self):
         # classify(first_integral(.)) returns the same regime at every sample.
@@ -181,8 +211,6 @@ class TestPeriodicOrbit:
             build_periodic_orbit(1.2, 0.5)
         with pytest.raises(RegimeError):
             build_periodic_orbit(1.0, 0.5)
-        with pytest.raises(ValueError):
-            build_periodic_orbit(0.0, 0.5, quad_points=8)
 
     def test_full_profile_even_about_origin(self):
         orbit = build_periodic_orbit(0.3, 0.5)
