@@ -5,13 +5,10 @@ maximum-principle monitors and a 1D steady-state toolkit."""
 from .grid import (
     Field,
     NonFiniteError,
-    SpectralCoeffs,
     TorusGrid,
     first_derivative,
-    forward_transform,
     helmholtz_solve,
     integrate,
-    inverse_transform,
     laplacian,
 )
 from .models import (

@@ -91,7 +91,7 @@ def _t_final(args) -> float | None:
     return args.tfinal
 
 
-def _build_config(args, tau: float, monitors=(), snap_every: int = 0) -> ExperimentConfig:
+def _build_config(args, tau: float) -> ExperimentConfig:
     return ExperimentConfig(
         model_kind=ModelKind(args.model),
         scheme=SchemeKind(args.scheme),
@@ -102,13 +102,10 @@ def _build_config(args, tau: float, monitors=(), snap_every: int = 0) -> Experim
         t_final=_t_final(args),
         n_steps=args.steps,
         init=args.init,
-        out_dir=args.out,
-        snap_every=snap_every,
-        monitors=tuple(monitors),
     )
 
 
-def _report_lines(config: ExperimentConfig, reports: dict[str, MonitorReport],
+def _report_lines(config: ExperimentConfig, args, reports: dict[str, MonitorReport],
                   final_energy: float, final_linf: float, exit_code: int) -> list[str]:
     lines = [
         "command: run",
@@ -122,8 +119,8 @@ def _report_lines(config: ExperimentConfig, reports: dict[str, MonitorReport],
         f"n_per_axis: {config.n_per_axis}",
         f"steps: {config.step_count}",
         f"init: {config.init}",
-        f"snap_every: {config.snap_every}",
-        f"monitors_enabled: {','.join(config.monitors) if config.monitors else 'none'}",
+        f"snap_every: {args.snap_every}",
+        f"monitors_enabled: {','.join(args.monitors) if args.monitors else 'none'}",
     ]
     for name, rep in reports.items():
         first = "" if rep.first_violation_step is None else str(rep.first_violation_step)
@@ -141,15 +138,17 @@ def _report_lines(config: ExperimentConfig, reports: dict[str, MonitorReport],
 
 
 def cmd_run(args) -> int:
-    config = _build_config(args, tau=args.tau, monitors=args.monitors, snap_every=args.snap_every)
+    config = _build_config(args, tau=args.tau)
+    if args.snap_every < 0:
+        raise _UsageError(f"snap_every must be >= 0, got {args.snap_every}")
     u0 = initial_field(config)
-    out = config.out_dir
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
 
     records = []
     for state, record in run_steps(u0, config.model, config.scheme, config.tau, config.step_count):
         records.append(record)
-        if config.snap_every > 0 and record.step_index % config.snap_every == 0:
+        if args.snap_every > 0 and record.step_index % args.snap_every == 0:
             # written before the next step overwrites the state's buffers
             io.write_snapshot(out / f"snap_{record.step_index}.psg", state.u_curr, record.t, config.kappa)
     io.write_series_csv(out / "series.csv", records)
@@ -159,11 +158,11 @@ def cmd_run(args) -> int:
         "modified_energy": energy_monitor(records, modified=True),
         "maxp": max_principle_monitor(records),
     }
-    fired = any(reports[name].violated for name in config.monitors)
+    fired = any(reports[name].violated for name in args.monitors)
     code = 3 if fired else 0
     final = records[-1]
     (out / "report.txt").write_text(
-        "\n".join(_report_lines(config, reports, final.energy, final.linf, code)) + "\n",
+        "\n".join(_report_lines(config, args, reports, final.energy, final.linf, code)) + "\n",
         encoding="ascii",
     )
     print(f"run finished: {config.step_count} steps, final t = {final.t:g}, "

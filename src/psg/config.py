@@ -27,7 +27,7 @@ _COMMENSURATE_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One solver run: model, scheme, grid, time stepping, init and outputs.
+    """One solver run: model, scheme, grid, time stepping and init.
 
     Exactly one of t_final / n_steps must be given; t_final must be an
     integer multiple of tau (within 1e-9 relative) so runs land exactly on
@@ -43,9 +43,6 @@ class ExperimentConfig:
     t_final: float | None = None
     n_steps: int | None = None
     init: str = "pi_sin"
-    out_dir: Path | None = None
-    snap_every: int = 0
-    monitors: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tau < np.inf:
@@ -62,8 +59,6 @@ class ExperimentConfig:
                 )
         elif self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.snap_every < 0:
-            raise ValueError(f"snap_every must be >= 0, got {self.snap_every}")
         # Fail fast on bad grid/model parameters.
         TorusGrid(self.dim, self.n_per_axis)
         ModelSpec(self.model_kind, self.kappa)

@@ -35,9 +35,6 @@ __all__ = [
     "fit_order",
 ]
 
-THREADS_ENV_VAR = "PSG_THREADS"
-
-
 class MonitorKind(enum.Enum):
     ENERGY_DISSIPATION = "energy"
     MODIFIED_ENERGY_DISSIPATION = "modified_energy"
@@ -143,31 +140,14 @@ class SweepResult:
         return min(bad) if bad else None
 
 
-def _default_workers(n_jobs: int) -> int:
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None:
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}")
-        return min(workers, n_jobs)
-    return min(os.cpu_count() or 1, n_jobs)
-
-
-def stability_sweep(
-    config: ExperimentConfig,
-    tau_values: Sequence[float],
-    max_workers: int | None = None,
-) -> SweepResult:
+def stability_sweep(config: ExperimentConfig, tau_values: Sequence[float]) -> SweepResult:
     """Run the configured experiment once per tau and attach monitor reports.
 
-    Runs are independent and executed on a thread pool (capped by the
-    PSG_THREADS environment variable when max_workers is not given);
-    results are deterministic and independent of scheduling. A failure for
-    one tau is recorded and does not abort the other values; a bad initial
-    field is no such failure and raises before any run starts.
+    Runs are independent and executed on a thread pool with one worker per
+    core (at most one per tau); results are deterministic and independent
+    of scheduling. A failure for one tau is recorded and does not abort the
+    other values; a bad initial field is no such failure and raises before
+    any run starts.
     """
     taus = tuple(float(t) for t in tau_values)
     if not taus:
@@ -187,11 +167,10 @@ def stability_sweep(
         )
         return reports, records[-1].energy
 
-    workers = max_workers if max_workers is not None else _default_workers(len(taus))
     reports: list[tuple[MonitorReport, ...] | None] = [None] * len(taus)
     energies = [float("nan")] * len(taus)
     errors: list[str | None] = [None] * len(taus)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(taus))) as pool:
         futures = [pool.submit(one, tau) for tau in taus]
         for i, future in enumerate(futures):
             try:

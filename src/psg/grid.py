@@ -2,7 +2,8 @@
 
 All operators are diagonal in the discrete Fourier basis on the uniform
 grid x_j = -pi + j * (2*pi/n), so "the Laplacian" here means: multiply the
-coefficient at wavenumber vector k by -|k|^2 and transform back. No
+coefficient at wavenumber vector k by -|k|^2 and transform back. Every
+transform runs in _apply_multiplier, in the half-complex (rfft) layout. No
 dealiasing is applied anywhere; nonlinearities are evaluated pointwise in
 physical space by the callers.
 """
@@ -17,10 +18,7 @@ import numpy as np
 __all__ = [
     "TorusGrid",
     "Field",
-    "SpectralCoeffs",
     "NonFiniteError",
-    "forward_transform",
-    "inverse_transform",
     "laplacian",
     "first_derivative",
     "helmholtz_solve",
@@ -111,15 +109,6 @@ class TorusGrid:
             return (1j * kr,)
         return (1j * k[:, None], 1j * kr[None, :])
 
-    @cached_property
-    def _phase(self) -> np.ndarray:
-        # (-1)^k per axis: relates 0-based FFT output to coefficients with
-        # respect to e^{ikx} on the actual nodes starting at -pi.
-        p = np.where(self.wavenumbers % 2 == 0, 1.0, -1.0)
-        if self.dim == 1:
-            return p
-        return p[:, None] * p[None, :]
-
 
 @dataclass(frozen=True)
 class Field:
@@ -161,50 +150,6 @@ class Field:
 
     def linf(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-
-@dataclass(frozen=True)
-class SpectralCoeffs:
-    """Complex Fourier coefficients of a real field, FFT order per axis.
-
-    Coefficients are with respect to the basis e^{i k.x} on the actual
-    nodes, normalized so a pure mode cos(kx) has coefficient 1/2 at each
-    of +-k. Real input implies Hermitian symmetry: c(-k) = conj(c(k)).
-    """
-
-    grid: TorusGrid
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        d = np.asarray(self.data, dtype=np.complex128)
-        if d.shape != self.grid.shape:
-            raise ValueError(f"data shape {d.shape} does not match grid shape {self.grid.shape}")
-        object.__setattr__(self, "data", d)
-
-    def coefficient(self, *k: int) -> complex:
-        """Coefficient at integer wavenumber tuple k (one entry per axis)."""
-        if len(k) != self.grid.dim:
-            raise ValueError(f"expected {self.grid.dim} wavenumber components, got {len(k)}")
-        n = self.grid.n_per_axis
-        for kk in k:
-            if not -n // 2 <= kk <= n // 2 - 1:
-                raise ValueError(f"wavenumber {kk} outside {{-{n // 2}, ..., {n // 2 - 1}}}")
-        idx = tuple(kk % n for kk in k)
-        return complex(self.data[idx])
-
-
-def forward_transform(f: Field) -> SpectralCoeffs:
-    """Exact discrete Fourier transform of a real field."""
-    g = f.grid
-    data = np.fft.fftn(f.values) * (g._phase / g.size)
-    return SpectralCoeffs(g, data)
-
-
-def inverse_transform(c: SpectralCoeffs) -> Field:
-    """Inverse transform; round-trips forward_transform to ~1e-15."""
-    g = c.grid
-    values = np.fft.ifftn(c.data * g._phase).real * g.size
-    return Field(g, values)
 
 
 def _apply_multiplier(grid: TorusGrid, values: np.ndarray, mult: np.ndarray,

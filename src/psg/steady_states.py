@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field
+from .grid import Field, TorusGrid, first_derivative, laplacian
 
 __all__ = [
     "Regime",
@@ -284,18 +284,10 @@ def reflect_extend(
 
 
 def _periodic_derivative(u: np.ndarray, spacing: float, order: int) -> np.ndarray:
-    """Spectral derivative treating the samples as one full period."""
-    n = len(u)
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
-    if order == 1:
-        mult = 1j * k
-        if n % 2 == 0:
-            mult[n // 2] = 0.0  # Nyquist zeroed to keep the derivative real
-    elif order == 2:
-        mult = -(k**2)
-    else:
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    return np.fft.ifft(mult * np.fft.fft(u)).real
+    """Spectral derivative (order 1 or 2) of one period of samples: the grid's operator, rescaled to spacing."""
+    f = Field(TorusGrid(1, len(u)), u)
+    d = first_derivative(f) if order == 1 else laplacian(f)
+    return d.values * (f.grid.spacing / spacing) ** order
 
 
 def residual(u, kappa: float, *, spacing: float | None = None, periodic: bool | None = None) -> float:
@@ -303,8 +295,8 @@ def residual(u, kappa: float, *, spacing: float | None = None, periodic: bool | 
 
     Accepts a 1D Field (spacing implied, periodic by default) or a plain
     array with explicit spacing (a non-periodic window by default). u'' is
-    spectral for periodic samples and 4th-order centered finite differences
-    on the interior for windows.
+    spectral for periodic samples, which must be an even count >= 4, and
+    4th-order centered finite differences on the interior for windows.
     """
     _check_kappa(kappa)
     if isinstance(u, Field):
@@ -322,6 +314,8 @@ def residual(u, kappa: float, *, spacing: float | None = None, periodic: bool | 
         periodic = False if periodic is None else periodic
 
     if periodic:
+        if len(values) < 4 or len(values) % 2:
+            raise ValueError(f"periodic samples must be an even count >= 4, got {len(values)}")
         d2 = _periodic_derivative(values, spacing, order=2)
         return float(np.max(np.abs(kappa**2 * d2 + np.sin(values))))
 

@@ -143,6 +143,12 @@ class TestRunCommand:
         assert main(run_args(out, extra=["--monitors", "bogus"])) == 1
         assert main(["run", "--bogus-flag"]) == 1
 
+    def test_negative_snap_every_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "neg"
+        assert main(run_args(out, extra=["--snap-every", "-1"])) == 1
+        assert capsys.readouterr().err == "error: snap_every must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_unknown_init(self, tmp_path):
         args = run_args(tmp_path / "x")
         args[args.index("pi_sin")] = "no_such_init"

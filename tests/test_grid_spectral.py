@@ -1,4 +1,4 @@
-"""Spectral infrastructure: grids, transforms, multiplier operators, quadrature."""
+"""Spectral infrastructure: grids, the transform pair, multiplier operators, quadrature."""
 
 import tracemalloc
 
@@ -15,13 +15,16 @@ from psg import (
     NonFiniteError,
     TorusGrid,
     energy,
+    SchemeKind,
+    build_periodic_orbit,
     first_derivative,
-    forward_transform,
     helmholtz_solve,
     integrate,
-    inverse_transform,
     laplacian,
+    modified_energy,
     potential_values,
+    residual,
+    run,
 )
 from psg.grid import _apply_multiplier, _helmholtz_multiplier
 from psg.models import _energy
@@ -76,56 +79,40 @@ class TestField:
 
 
 class TestTransforms:
-    def test_constant_field_single_coefficient(self):
-        grid = TorusGrid(1, 8)
-        coeffs = forward_transform(Field.constant(grid, 1.0))
-        assert coeffs.coefficient(0) == pytest.approx(1.0, abs=1e-15)
-        for k in range(-4, 4):
-            if k != 0:
-                assert abs(coeffs.coefficient(k)) < 1e-15
-
-    def test_sin_mode_coefficients(self):
-        grid = TorusGrid(1, 16)
-        coeffs = forward_transform(Field.from_function(grid, np.sin))
-        assert coeffs.coefficient(1) == pytest.approx(-0.5j, abs=1e-15)
-        assert coeffs.coefficient(-1) == pytest.approx(0.5j, abs=1e-15)
-        others = [coeffs.coefficient(k) for k in range(-8, 8) if abs(k) != 1]
-        assert max(abs(c) for c in others) < 1e-15
-
-    def test_cos_mode_node_aware_phase(self):
-        # An odd-k cosine exposes the node convention: coefficients are taken
-        # with respect to e^{ikx} on nodes starting at -pi, so c(+-3) = +1/2.
-        grid = TorusGrid(1, 16)
-        coeffs = forward_transform(Field.from_function(grid, lambda x: np.cos(3 * x)))
-        assert coeffs.coefficient(3) == pytest.approx(0.5, abs=1e-15)
-        assert coeffs.coefficient(-3) == pytest.approx(0.5, abs=1e-15)
-
+    # helmholtz_solve with a=1, b=0 applies the multiplier 1: the solver's own rfftn/inverse pair.
     @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512])
     def test_roundtrip_1d(self, n, rng):
         f = random_smooth_field(TorusGrid(1, n), rng)
-        back = inverse_transform(forward_transform(f))
+        back = helmholtz_solve(f, kappa=1.0, a=1.0, b=0.0)
         assert np.max(np.abs(back.values - f.values)) <= 1e-13 * f.linf()
 
     @pytest.mark.parametrize("n", [8, 32, 128, 512])
     def test_roundtrip_2d(self, n, rng):
         f = random_smooth_field(TorusGrid(2, n), rng)
-        back = inverse_transform(forward_transform(f))
+        back = helmholtz_solve(f, kappa=1.0, a=1.0, b=0.0)
         assert np.max(np.abs(back.values - f.values)) <= 1e-13 * f.linf()
 
-    def test_hermitian_symmetry(self, rng):
-        f = random_smooth_field(TorusGrid(2, 16), rng)
-        coeffs = forward_transform(f)
-        for kx, ky in [(1, 2), (3, -5), (0, 7), (-4, 0), (5, 5)]:
-            assert coeffs.coefficient(kx, ky) == pytest.approx(
-                np.conj(coeffs.coefficient(-kx, -ky)), abs=1e-14
-            )
+    def test_every_transform_runs_in_apply_multiplier(self, monkeypatch, rng):
+        # The solver, its diagnostics and the steady-state checks use only the rfft path:
+        # rfftn forward, ifft then irfft back. No other transform may run.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a transform outside _apply_multiplier ran")
+        for name in ("fft", "fftn", "ifftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, forbidden)
 
-    def test_coefficient_lookup_validation(self):
-        coeffs = forward_transform(Field.constant(TorusGrid(1, 8), 1.0))
-        with pytest.raises(ValueError):
-            coeffs.coefficient(1, 2)
-        with pytest.raises(ValueError):
-            coeffs.coefficient(4)  # wavenumbers run -4..3
+        grid = TorusGrid(2, 16)
+        u0 = random_smooth_field(grid, rng)
+        model = ModelSpec(ModelKind.SINE_GORDON, 0.3)
+        for scheme in SchemeKind:
+            assert len(run(u0, model, scheme, 0.1, 3)) == 3
+        u1 = helmholtz_solve(u0, kappa=0.3, a=1.0, b=0.1)
+        energy(model, u0)
+        modified_energy(model, u1, u0, 0.1)
+        laplacian(u0)
+        first_derivative(u0, axis=1)
+        residual(Field.from_function(TorusGrid(1, 32), np.sin), 1.0)
+        orbit = build_periodic_orbit(0.0, 0.5)
+        assert orbit.residual_max() <= 1e-10 and orbit.first_integral_drift() <= 1e-10
 
 
 class TestLaplacian:

@@ -284,6 +284,13 @@ class TestResidual:
         with pytest.raises(ValueError):
             residual(np.zeros(4), 0.5, spacing=0.1)
 
+    def test_periodic_samples_need_an_even_count(self):
+        # The spectral u'' runs on a TorusGrid, whose point count is even and >= 4.
+        assert residual(np.zeros(4), 0.5, spacing=0.1, periodic=True) == 0.0
+        for count in (31, 3, 2):
+            with pytest.raises(ValueError, match=f"^periodic samples must be an even count >= 4, got {count}$"):
+                residual(np.zeros(count), 0.5, spacing=0.1, periodic=True)
+
     def test_2d_field_rejected(self):
         with pytest.raises(ValueError):
             residual(Field.zeros(TorusGrid(2, 8)), 0.5)
