@@ -24,7 +24,6 @@ from .models import (
 )
 from .schemes import (
     SchemeKind,
-    SchemeState,
     StepRecord,
     run,
     run_steps,

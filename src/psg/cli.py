@@ -146,11 +146,11 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     records = []
-    for state, record in run_steps(u0, config.model, config.scheme, config.tau, config.step_count):
+    for u, record in run_steps(u0, config.model, config.scheme, config.tau, config.step_count):
         records.append(record)
         if args.snap_every > 0 and record.step_index % args.snap_every == 0:
-            # written before the next step overwrites the state's buffers
-            io.write_snapshot(out / f"snap_{record.step_index}.psg", state.u_curr, record.t, config.kappa)
+            # written before the next step overwrites u's buffer
+            io.write_snapshot(out / f"snap_{record.step_index}.psg", u, record.t, config.kappa)
     io.write_series_csv(out / "series.csv", records)
 
     reports = {

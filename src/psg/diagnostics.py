@@ -17,7 +17,7 @@ import enum
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -60,6 +60,12 @@ class MonitorReport:
             raise ValueError("violated must hold exactly when first_violation_step is present")
 
 
+def _excess_report(kind: MonitorKind, excesses: Iterable[tuple[int, float]]) -> MonitorReport:
+    """Report the first step whose excess is > 0 and the largest such excess."""
+    bad = [(step, excess) for step, excess in excesses if excess > 0.0]
+    return MonitorReport(kind, bool(bad), bad[0][0] if bad else None, max((e for _, e in bad), default=0.0))
+
+
 def energy_monitor(
     records: Sequence[StepRecord],
     modified: bool = False,
@@ -67,33 +73,15 @@ def energy_monitor(
 ) -> MonitorReport:
     """Flag the first step with E(next) > E(curr) + rel_slack*(1 + |E(curr)|).
 
-    With modified=True the modified energy column is monitored instead; it
-    may be absent on leading records (it does not exist before the first
-    step) but must be present from then on.
+    With modified=True the modified energy column is monitored instead.
     """
     if not records:
         raise ValueError("records must be nonempty")
-    if modified:
-        records = list(records)
-        while records and records[0].modified_energy is None:
-            records.pop(0)
-        values = [r.modified_energy for r in records]
-        if not values or any(v is None for v in values):
-            raise ValueError("modified energies missing from the record series")
-        kind = MonitorKind.MODIFIED_ENERGY_DISSIPATION
-    else:
-        values = [r.energy for r in records]
-        kind = MonitorKind.ENERGY_DISSIPATION
-
-    first: int | None = None
-    worst = 0.0
-    for prev_rec, next_rec, prev, nxt in zip(records, records[1:], values, values[1:]):
-        excess = nxt - prev - rel_slack * (1.0 + abs(prev))
-        if excess > 0.0:
-            if first is None:
-                first = next_rec.step_index
-            worst = max(worst, excess)
-    return MonitorReport(kind, first is not None, first, worst)
+    kind = MonitorKind.MODIFIED_ENERGY_DISSIPATION if modified else MonitorKind.ENERGY_DISSIPATION
+    values = [r.modified_energy if modified else r.energy for r in records]
+    excesses = ((rec.step_index, nxt - prev - rel_slack * (1.0 + abs(prev)))
+                for rec, prev, nxt in zip(records[1:], values, values[1:]))
+    return _excess_report(kind, excesses)
 
 
 def max_principle_monitor(
@@ -104,15 +92,8 @@ def max_principle_monitor(
     """Flag the first record with linf > bound + slack."""
     if not records:
         raise ValueError("records must be nonempty")
-    first: int | None = None
-    worst = 0.0
-    for rec in records:
-        excess = rec.linf - (bound + slack)
-        if excess > 0.0:
-            if first is None:
-                first = rec.step_index
-            worst = max(worst, excess)
-    return MonitorReport(MonitorKind.MAX_PRINCIPLE, first is not None, first, worst)
+    excesses = ((rec.step_index, rec.linf - (bound + slack)) for rec in records)
+    return _excess_report(MonitorKind.MAX_PRINCIPLE, excesses)
 
 
 @dataclass(frozen=True)
@@ -217,10 +198,11 @@ def convergence_order(
     u0 = initial_field(config)
 
     def final_values(tau: float, n_steps: int) -> np.ndarray:
-        states = _advance(u0, config.model, scheme, tau)
+        steps = _advance(u0, config.model, scheme, tau)
         for _ in range(n_steps - 1):
-            next(states)
-        return next(states).u_curr.values.copy()  # the generator's buffer, valid only until it advances
+            next(steps)
+        u, _, _ = next(steps)
+        return u.values.copy()  # the generator's buffer, valid only until it advances
 
     u_ref = final_values(tau_ref, step_counts[-1])
     errors = [float(np.max(np.abs(final_values(tau, steps) - u_ref))) for tau, steps in zip(taus, step_counts)]

@@ -128,9 +128,8 @@ def write_heatmap(field: Field, path) -> None:
 def write_series_csv(path, records: Sequence[StepRecord]) -> None:
     lines = ["step,t,energy,modified_energy,umin,umax,linf"]
     for r in records:
-        mod = "" if r.modified_energy is None else _fmt(r.modified_energy)
         lines.append(
-            f"{r.step_index},{_fmt(r.t)},{_fmt(r.energy)},{mod},"
+            f"{r.step_index},{_fmt(r.t)},{_fmt(r.energy)},{_fmt(r.modified_energy)},"
             f"{_fmt(r.u_min)},{_fmt(r.u_max)},{_fmt(r.linf)}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

@@ -86,6 +86,8 @@ def classify(C: float) -> Regime:
     constants +-pi (CONSTANT_PI), which classify alone cannot distinguish.
     """
     C = float(C)
+    if math.isnan(C):
+        raise ValueError(f"C must be a number, got {C}")
     if C < -1.0 - SEPARATRIX_TOL:
         raise FirstIntegralError(f"C = {C} < -1 violates the first integral for real profiles")
     if C <= -1.0 + SEPARATRIX_TOL:
@@ -105,23 +107,22 @@ def first_integral(u, du, kappa: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _check_sign(sign: int) -> int:
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return sign
-
-
 def _check_kappa(kappa: float) -> None:
     if not 0.0 < kappa < np.inf:
         raise ValueError(f"kappa must be finite and > 0, got {kappa}")
 
 
-def kink_eval(kappa: float, sign: int, c: float, x):
-    """Separatrix profile sign * 2*arcsin(tanh(x/kappa + c)); values in (-pi, pi)."""
-    _check_sign(sign)
+def _check_kink(kappa: float, sign: int, c: float) -> None:
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
     _check_kappa(kappa)
     if not np.isfinite(c):
         raise ValueError(f"c must be finite, got {c}")
+
+
+def kink_eval(kappa: float, sign: int, c: float, x):
+    """Separatrix profile sign * 2*arcsin(tanh(x/kappa + c)); values in (-pi, pi)."""
+    _check_kink(kappa, sign, c)
     x = np.asarray(x, dtype=np.float64)
     out = sign * 2.0 * np.arcsin(np.tanh(x / kappa + c))
     return float(out) if out.ndim == 0 else out
@@ -129,8 +130,7 @@ def kink_eval(kappa: float, sign: int, c: float, x):
 
 def kink_derivative(kappa: float, sign: int, c: float, x):
     """Closed-form derivative of kink_eval: sign * (2/kappa) * sech(x/kappa + c)."""
-    _check_sign(sign)
-    _check_kappa(kappa)
+    _check_kink(kappa, sign, c)
     x = np.asarray(x, dtype=np.float64)
     out = sign * 2.0 / (kappa * np.cosh(x / kappa + c))
     return float(out) if out.ndim == 0 else out
@@ -147,13 +147,10 @@ class SteadyStateCase:
     regime: Regime
     C: float
     kappa: float
-    sign: int = 1
-    shift_c: float = 0.0
     amplitude: float = 0.0
 
     def __post_init__(self) -> None:
         _check_kappa(self.kappa)
-        _check_sign(self.sign)
         by_c = classify(self.C)
         if self.regime is Regime.NO_BOUNDED:
             raise RegimeError(f"no bounded solution exists for C = {self.C}")
@@ -243,7 +240,7 @@ def build_periodic_orbit(C: float, kappa: float, samples: int = 257) -> Periodic
     u[0] = -amplitude  # turning points are exact by construction
     u[-1] = amplitude
 
-    case = SteadyStateCase(Regime.PERIODIC, float(C), float(kappa), 1, 0.0, amplitude)
+    case = SteadyStateCase(Regime.PERIODIC, float(C), float(kappa), amplitude=amplitude)
     return PeriodicOrbit(case, period, np.linspace(0.0, period / 2.0, samples), u)
 
 
@@ -309,8 +306,8 @@ def residual(u, kappa: float, *, spacing: float | None = None, periodic: bool | 
         values = np.asarray(u, dtype=np.float64)
         if values.ndim != 1:
             raise ValueError("residual expects 1D samples")
-        if spacing is None:
-            raise ValueError("spacing is required for plain arrays")
+        if spacing is None or not 0.0 < spacing < np.inf:
+            raise ValueError(f"spacing must be finite and > 0 for plain arrays, got {spacing}")
         periodic = False if periodic is None else periodic
 
     if periodic:

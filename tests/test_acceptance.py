@@ -218,10 +218,10 @@ def test_criterion_8_2d_qualitative_reproduction(tmp_path):
         cfg = ExperimentConfig(model_kind=kind, scheme=SchemeKind.BDF2, dim=2, kappa=kappa,
                                tau=tau, n_per_axis=n, n_steps=200, init=init_name)
         records, snapshots = [], {}
-        for state, record in run_steps(initial_field(cfg), cfg.model, cfg.scheme, tau, cfg.n_steps):
+        for u, record in run_steps(initial_field(cfg), cfg.model, cfg.scheme, tau, cfg.n_steps):
             records.append(record)
-            if record.step_index in compare_steps:  # the next step overwrites the state's buffers
-                snapshots[record.step_index] = Field(state.u_curr.grid, state.u_curr.values.copy())
+            if record.step_index in compare_steps:  # the next step overwrites u's buffer
+                snapshots[record.step_index] = Field(u.grid, u.values.copy())
         return records, snapshots
 
     records_sg, snaps_sg = simulate(SG, "pi_sin_sin")

@@ -323,6 +323,7 @@ NON_FINITE_INPUTS = {
     "steady-kink-kappa-nan": ["steady", "--case", "kink", "--kappa", "nan"],
     "steady-kink-c-nan": ["steady", "--case", "kink", "--c", "nan"],
     "steady-periodic-kappa-nan": ["steady", "--case", "periodic", "--kappa", "nan"],
+    "steady-periodic-C-nan": ["steady", "--case", "periodic", "--C", "nan"],
     "steady-zero-kappa-inf": ["steady", "--case", "zero", "--kappa", "inf"],
 }
 

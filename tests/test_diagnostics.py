@@ -24,7 +24,7 @@ from psg import (
 )
 
 
-def record(step, energy_value, modified=None, linf=0.0):
+def record(step, energy_value, modified=0.0, linf=0.0):
     return StepRecord(step, 0.1 * step, energy_value, modified, -linf, linf, linf)
 
 
@@ -69,16 +69,10 @@ class TestEnergyMonitor:
         assert report.kind is MonitorKind.MODIFIED_ENERGY_DISSIPATION
         assert report.first_violation_step == 3
 
-    def test_leading_missing_modified_tolerated(self):
-        records = [record(0, 1.0, modified=None), record(1, 1.0, modified=2.0), record(2, 1.0, modified=1.0)]
-        assert not energy_monitor(records, modified=True).violated
-
     def test_missing_modified_rejected(self):
-        records = [record(1, 1.0, modified=1.0), record(2, 1.0, modified=None)]
-        with pytest.raises(ValueError):
-            energy_monitor(records, modified=True)
-        with pytest.raises(ValueError):
-            energy_monitor([], modified=False)
+        for modified in (False, True):
+            with pytest.raises(ValueError, match="^records must be nonempty$"):
+                energy_monitor([], modified=modified)
 
 
 class TestMaxPrincipleMonitor:

@@ -166,7 +166,7 @@ class TestHeatmap:
 class TestCsv:
     def test_series_roundtrip_17_digits(self, tmp_path):
         records = [
-            StepRecord(1, 0.1, -1.2345678901234567, None, -3.1, 3.0999999999999996, 3.1),
+            StepRecord(1, 0.1, -1.2345678901234567, 0.30000000000000004, -3.1, 3.0999999999999996, 3.1),
             StepRecord(2, 0.2, np.pi, -2.718281828459045, -1e-17, 1e300, 1e300),
         ]
         path = tmp_path / "series.csv"
@@ -174,13 +174,12 @@ class TestCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "step,t,energy,modified_energy,umin,umax,linf"
         assert len(lines) == 3
-        row1 = lines[1].split(",")
-        assert row1[3] == ""  # missing modified energy
         for rec, line in zip(records, lines[1:]):
             parts = line.split(",")
             assert int(parts[0]) == rec.step_index
             assert float(parts[1]) == rec.t
             assert float(parts[2]) == rec.energy
+            assert float(parts[3]) == rec.modified_energy
             assert float(parts[4]) == rec.u_min
             assert float(parts[5]) == rec.u_max
             assert float(parts[6]) == rec.linf

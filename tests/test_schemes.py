@@ -16,7 +16,6 @@ from psg import (
     ModelSpec,
     NonFiniteError,
     SchemeKind,
-    SchemeState,
     StepRecord,
     TorusGrid,
     energy,
@@ -35,8 +34,8 @@ AC = ModelSpec(ModelKind.ALLEN_CAHN, 0.5)
 
 
 def iterates(u0, model, scheme, tau, n_steps):
-    """Copies of u_curr's values after steps 1..n_steps (run_steps reuses its buffers)."""
-    return [s.u_curr.values.copy() for s, _ in run_steps(u0, model, scheme, tau, n_steps)]
+    """Copies of u's values after steps 1..n_steps (run_steps reuses its buffers)."""
+    return [u.values.copy() for u, _ in run_steps(u0, model, scheme, tau, n_steps)]
 
 
 def peak_fields_after_warmup(grid, step):
@@ -120,9 +119,9 @@ class TestConstantReductions:
 
 class TestKickstart:
     def test_zero_stays_zero(self):
-        ((state, _),) = run_steps(Field.zeros(TorusGrid(1, 32)), SG, SchemeKind.BDF2, 0.3, 1)  # no later step
-        assert state.step_index == 1
-        assert np.max(np.abs(state.u_curr.values)) == 0.0
+        ((u, record),) = run_steps(Field.zeros(TorusGrid(1, 32)), SG, SchemeKind.BDF2, 0.3, 1)  # no later step
+        assert record.step_index == 1
+        assert np.max(np.abs(u.values)) == 0.0
 
     def test_constant_half_pi(self):
         (u1,) = constant_run(np.pi / 2, SG, SchemeKind.BDF2, 0.5, 1, n=32)
@@ -134,8 +133,7 @@ class TestKickstart:
         model = ModelSpec(ModelKind.SINE_GORDON, 0.1)
         ((kicked, _),) = run_steps(u0, model, SchemeKind.BDF2, 0.25, 1)  # one step each: no later
         ((stepped, _),) = run_steps(u0, model, SchemeKind.IMEX1, 0.25, 1)  # step overwrites them
-        assert np.array_equal(kicked.u_curr.values, stepped.u_curr.values)
-        assert kicked.u_prev is u0
+        assert np.array_equal(kicked.values, stepped.values)
 
     def test_invalid_tau(self):
         with pytest.raises(ValueError, match="^tau must be finite and > 0"):
@@ -143,23 +141,13 @@ class TestKickstart:
 
 
 class TestPreconditions:
-    def test_state_invariants(self):
-        grid = TorusGrid(1, 32)
-        u = Field.zeros(grid)
-        with pytest.raises(ValueError):
-            SchemeState(SchemeKind.IMEX1, SG, 0.5, 0, u, u)  # u_prev at step 0
-        with pytest.raises(ValueError):
-            SchemeState(SchemeKind.IMEX1, SG, 0.5, 1, u, None)  # missing u_prev
-        with pytest.raises(ValueError):
-            SchemeState(SchemeKind.BDF2, SG, 0.5, 1, u, Field.zeros(TorusGrid(1, 64)))
-
-    @pytest.mark.parametrize("entry", ["SchemeState", "run"])
+    @pytest.mark.parametrize("entry", ["_advance", "run"])
     @pytest.mark.parametrize("tau", [np.nan, np.inf])
     def test_non_finite_tau_rejected(self, entry, tau):
-        # unchecked, it surfaced as "non-finite field values at step 1" (or not at all for a bare state)
+        # unchecked, the error named the Helmholtz multiplier's b instead of tau
         u = Field.zeros(TorusGrid(1, 32))
         calls = {
-            "SchemeState": lambda: SchemeState(SchemeKind.IMEX1, SG, tau, 0, u),
+            "_advance": lambda: next(psg.schemes._advance(u, SG, SchemeKind.IMEX1, tau)),
             "run": lambda: run(u, SG, SchemeKind.IMEX1, tau, 3),
         }
         with pytest.raises(ValueError, match="^tau must be finite and > 0"):
@@ -167,7 +155,7 @@ class TestPreconditions:
 
     def test_record_linf_invariant(self):
         with pytest.raises(ValueError):
-            StepRecord(1, 0.1, -1.0, None, -2.0, 1.0, 1.0)
+            StepRecord(1, 0.1, -1.0, -1.0, -2.0, 1.0, 1.0)
 
 
 class TestSymmetries:
@@ -312,17 +300,17 @@ class TestRun:
 
     def test_records_match_recomputation(self, rng):
         # The recorder takes E from the Parseval sum the solve took of its spectrum;
-        # energy() transforms u_curr afresh, so the two agree to roundoff.
+        # energy() transforms u afresh, so the two agree to roundoff.
         grid = TorusGrid(1, 64)
         u0 = random_smooth_field(grid, rng)
-        steps = 0
-        for s, record in run_steps(u0, SG, SchemeKind.BDF2, 0.25, 15):  # s is valid only inside the loop
-            steps += 1
-            assert record.energy == psg.models._energy(SG, s.u_curr, s.gradient_sum)
-            assert record.energy == pytest.approx(energy(SG, s.u_curr), rel=1e-12)
-            assert record.modified_energy == pytest.approx(modified_energy(SG, s.u_curr, s.u_prev, 0.25), rel=1e-12)
-            assert record.linf == s.u_curr.linf()
-        assert steps == 15
+        records = run(u0, SG, SchemeKind.BDF2, 0.25, 15)
+        steps = psg.schemes._advance(u0, SG, SchemeKind.BDF2, 0.25, weights=grid._rfft_wk2)
+        for record, (u, u_prev, gradient_sum) in zip(records, steps):  # u is valid only inside the loop
+            assert record.energy == psg.models._energy(SG, u, gradient_sum)
+            assert record.energy == pytest.approx(energy(SG, u), rel=1e-12)
+            assert record.modified_energy == pytest.approx(modified_energy(SG, u, u_prev, 0.25), rel=1e-12)
+            assert record.linf == u.linf()
+        assert len(records) == 15
 
     @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
     def test_one_transform_pair_and_nonlinearity_per_step(self, scheme, monkeypatch):
@@ -355,8 +343,8 @@ class TestRun:
         # transforms' own scratch and the finiteness checks stay below 1.5 fields.
         grid = TorusGrid(2, 64)
         u0 = Field.from_function(grid, lambda x, y: np.sin(x) * np.cos(y))
-        states = psg.schemes._advance(u0, model, scheme, 0.1)
-        assert peak_fields_after_warmup(grid, lambda: next(states)) <= 1.5
+        steps = psg.schemes._advance(u0, model, scheme, 0.1)
+        assert peak_fields_after_warmup(grid, lambda: next(steps)) <= 1.5
 
     @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
     @pytest.mark.parametrize("model", [SG, AC], ids=["sg", "ac"])
@@ -380,9 +368,9 @@ class TestRun:
             checks.append(1)
             original(self)
         monkeypatch.setattr(Field, "__post_init__", counted)
-        states = psg.schemes._advance(u0, SG, scheme, 0.1)
+        steps = psg.schemes._advance(u0, SG, scheme, 0.1)
         for _ in range(10):
-            next(states)
+            next(steps)
         assert len(checks) == 10
 
     @pytest.mark.parametrize("scheme,fields", [(SchemeKind.IMEX1, 4.0), (SchemeKind.BDF2, 7.5)])
@@ -396,13 +384,13 @@ class TestRun:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            states = psg.schemes._advance(u0, SG, scheme, 0.1)
+            steps = psg.schemes._advance(u0, SG, scheme, 0.1)
             for _ in range(3):
-                state = next(states)
+                u, u_prev, _ = next(steps)
             held = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
-        assert state.step_index == 3
+        assert u_prev is not u0  # past step 1, both yielded fields are ring slots
         assert held <= fields * 8 * grid.size
 
     @pytest.mark.parametrize("model", [SG, AC], ids=["sg", "ac"])

@@ -58,6 +58,11 @@ class TestClassify:
         with pytest.raises(FirstIntegralError):
             classify(-1.0 - 1e-6)
 
+    def test_nan_rejected(self):
+        # every comparison with NaN is false, so unchecked it fell through to NO_BOUNDED
+        with pytest.raises(ValueError, match="^C must be a number, got nan$"):
+            classify(float("nan"))
+
 
 class TestFirstIntegral:
     def test_reference_points(self):
@@ -117,6 +122,12 @@ class TestKink:
             kink_eval(0.0, 1, 0.0, 1.0)
         with pytest.raises(ValueError):
             kink_eval(1.0, 2, 0.0, 1.0)
+
+    def test_derivative_rejects_non_finite_shift(self):
+        x = np.linspace(-1.0, 1.0, 5)
+        for c in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^c must be finite"):
+                kink_derivative(0.5, 1, c, x)
 
 
 class TestPeriodicOrbit:
@@ -280,6 +291,12 @@ class TestResidual:
         with pytest.raises(ValueError):
             residual(np.zeros(32), 0.5)
 
+    def test_spacing_must_be_finite_and_positive(self):
+        # unchecked, a zero spacing gave inf, nan gave nan and a negative spacing passed
+        for spacing in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^spacing must be finite and > 0"):
+                residual(np.zeros(32), 0.5, spacing=spacing)
+
     def test_window_needs_five_samples(self):
         with pytest.raises(ValueError):
             residual(np.zeros(4), 0.5, spacing=0.1)
@@ -314,5 +331,5 @@ class TestResidual:
         (x,) = grid.coords()
         u0 = Field(grid, 2.0 + 0.5 * np.sin(3 * x) + 0.3 * np.cos(x))
         model = ModelSpec(ModelKind.SINE_GORDON, 0.5)
-        *_, (final, _) = run_steps(u0, model, SchemeKind.IMEX1, 0.5, 400)  # the last state: no step overwrites it
-        assert residual(final.u_curr, model.kappa) <= 1e-6
+        *_, (final, _) = run_steps(u0, model, SchemeKind.IMEX1, 0.5, 400)  # the last field: no step overwrites it
+        assert residual(final, model.kappa) <= 1e-6
