@@ -14,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, initial_field
+from .config import INIT_PRESETS, ExperimentConfig, initial_field
 from .diagnostics import MonitorReport, energy_monitor, max_principle_monitor, stability_sweep
-from .grid import NonFiniteError
+from .grid import NonFiniteError, _check_positive
 from .models import ModelKind
 from .schemes import SchemeKind, run_steps
 from .steady_states import Regime, build_periodic_orbit, kink_eval, residual
@@ -25,13 +25,9 @@ from . import __version__, io
 MONITOR_NAMES = ("energy", "modified_energy", "maxp")
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 instead of argparse's 2
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _add_run_arguments(p: argparse.ArgumentParser, with_tau: bool) -> None:
@@ -45,7 +41,7 @@ def _add_run_arguments(p: argparse.ArgumentParser, with_tau: bool) -> None:
     length = p.add_mutually_exclusive_group()
     length.add_argument("--tfinal", type=float, default=None)
     length.add_argument("--steps", type=int, default=None)
-    p.add_argument("--init", required=True, help="preset name (pi_sin, pi_sin_sin, sin_sin) or snapshot path")
+    p.add_argument("--init", required=True, help=f"preset name ({', '.join(INIT_PRESETS)}) or snapshot path")
     p.add_argument("--out", type=Path, required=True, help="output directory")
 
 
@@ -85,9 +81,9 @@ def _t_final(args) -> float | None:
     if args.tfinal is None and args.steps is None:
         if args.dim == 2:
             return 6.0
-        raise _UsageError("one of --tfinal / --steps is required")
-    if args.tfinal is not None and not 0.0 < args.tfinal < np.inf:
-        raise _UsageError(f"--tfinal must be finite and > 0, got {args.tfinal!r}")
+        raise ValueError("one of --tfinal / --steps is required")
+    if args.tfinal is not None:
+        _check_positive("--tfinal", args.tfinal)
     return args.tfinal
 
 
@@ -140,7 +136,7 @@ def _report_lines(config: ExperimentConfig, args, reports: dict[str, MonitorRepo
 def cmd_run(args) -> int:
     config = _build_config(args, tau=args.tau)
     if args.snap_every < 0:
-        raise _UsageError(f"snap_every must be >= 0, got {args.snap_every}")
+        raise ValueError(f"snap_every must be >= 0, got {args.snap_every}")
     u0 = initial_field(config)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -174,9 +170,9 @@ def cmd_sweep(args) -> int:
     try:
         taus = [float(tok) for tok in args.tau_list.split(",") if tok.strip()]
     except ValueError:
-        raise _UsageError(f"--tau-list must be comma-separated numbers, got {args.tau_list!r}")
+        raise ValueError(f"--tau-list must be comma-separated numbers, got {args.tau_list!r}")
     if not taus or not all(0.0 < t < np.inf for t in taus):
-        raise _UsageError(f"--tau-list entries must all be finite and > 0, got {args.tau_list!r}")
+        raise ValueError(f"--tau-list entries must all be finite and > 0, got {args.tau_list!r}")
 
     # stability_sweep swaps in each listed tau and records a bad one per tau;
     # the base config only needs a tau that is valid for the run length.
@@ -235,28 +231,17 @@ def cmd_potential_table(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NonFiniteError as exc:
+    except (NonFiniteError, OSError) as exc:  # NonFiniteError is a ValueError: caught first
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except ValueError as exc:  # usage and input errors, the parser's included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -4,21 +4,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .grid import Field, TorusGrid
+from .grid import Field, TorusGrid, _check_positive
 from .models import ModelKind, ModelSpec
 from .schemes import SchemeKind
 
 __all__ = ["ExperimentConfig", "INIT_PRESETS", "initial_field"]
 
-# Named closed-form initializers; anything else passed as init is treated
-# as a snapshot path.
-INIT_PRESETS: dict[str, int] = {
-    "pi_sin": 1,       # pi * sin(x)
-    "pi_sin_sin": 2,   # pi * sin(x) * sin(y)
-    "sin_sin": 2,      # sin(x) * sin(y)
+# Named closed-form initializers, name -> (dim, formula of the node coordinates);
+# anything else passed as init is treated as a snapshot path.
+INIT_PRESETS: dict[str, tuple[int, Callable[..., np.ndarray]]] = {
+    "pi_sin": (1, lambda x: np.pi * np.sin(x)),
+    "pi_sin_sin": (2, lambda x, y: np.pi * np.sin(x) * np.sin(y)),
+    "sin_sin": (2, lambda x, y: np.sin(x) * np.sin(y)),
 }
 
 # Relative tolerance for t_final / tau being an integer.
@@ -45,8 +46,7 @@ class ExperimentConfig:
     init: str = "pi_sin"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tau < np.inf:
-            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
+        _check_positive("tau", self.tau)
         if (self.t_final is None) == (self.n_steps is None):
             raise ValueError("exactly one of t_final / n_steps must be given")
         if self.t_final is not None:
@@ -78,25 +78,14 @@ class ExperimentConfig:
         return round(self.t_final / self.tau)
 
 
-def _preset_values(name: str, grid: TorusGrid) -> np.ndarray:
-    if grid.dim == 1:
-        (x,) = grid.coords()
-        return np.pi * np.sin(x)
-    x, y = grid.coords()
-    if name == "pi_sin_sin":
-        return np.pi * np.sin(x) * np.sin(y)
-    return np.sin(x) * np.sin(y)
-
-
 def initial_field(config: ExperimentConfig) -> Field:
     """Resolve the configured initial condition to a Field on the run grid."""
     name = config.init
     if name in INIT_PRESETS:
-        if INIT_PRESETS[name] != config.dim:
-            raise ValueError(
-                f"init preset {name!r} is {INIT_PRESETS[name]}D but the run is {config.dim}D"
-            )
-        return Field(config.grid, _preset_values(name, config.grid))
+        dim, formula = INIT_PRESETS[name]
+        if dim != config.dim:
+            raise ValueError(f"init preset {name!r} is {dim}D but the run is {config.dim}D")
+        return Field.from_function(config.grid, formula)
 
     path = Path(name)
     if not path.is_file():

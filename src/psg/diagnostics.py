@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import ExperimentConfig, initial_field
+from .grid import _check_positive
 from .schemes import SchemeKind, StepRecord, _advance, run
 
 __all__ = [
@@ -162,13 +163,16 @@ def stability_sweep(config: ExperimentConfig, tau_values: Sequence[float]) -> Sw
 
 
 def fit_order(taus: Sequence[float], errors: Sequence[float]) -> float:
-    """Least-squares slope of log(error) against log(tau)."""
+    """Least-squares slope of log(error) against log(tau), over at least two distinct taus."""
     taus = np.asarray(taus, dtype=np.float64)
     errors = np.asarray(errors, dtype=np.float64)
     if len(taus) != len(errors) or len(taus) < 2:
         raise ValueError("need at least two (tau, error) pairs")
-    if np.any(errors <= 0):
-        raise ValueError("errors must all be positive to fit a slope")
+    for name, values in (("taus", taus), ("errors", errors)):
+        if not np.all((0.0 < values) & (values < np.inf)):
+            raise ValueError(f"{name} must all be finite and > 0 to fit a slope, got {values}")
+    if not taus.min() < taus.max():
+        raise ValueError(f"need at least two distinct taus, got {taus}")
     return float(np.polyfit(np.log(taus), np.log(errors), 1)[0])
 
 
@@ -188,8 +192,7 @@ def convergence_order(
     """
     if levels < 3:
         raise ValueError(f"levels must be >= 3, got {levels}")
-    if tau_base <= 0:
-        raise ValueError(f"tau_base must be > 0, got {tau_base}")
+    _check_positive("tau_base", tau_base)
     taus = [tau_base / 2**level for level in range(levels)]
     tau_ref = tau_base / 2 ** (levels + 2)
     step_counts = [dataclasses.replace(config, tau=tau, t_final=t_final, n_steps=None).step_count

@@ -30,6 +30,19 @@ class NonFiniteError(ValueError):
     """A field contains NaN or Inf entries."""
 
 
+def _check_positive(name: str, value: float) -> None:
+    """ValueError unless 0 < value < inf (so NaN fails too)."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
+def _check_kappa(kappa: float) -> None:
+    """_check_positive for kappa, which every operator and energy also squares."""
+    _check_positive("kappa", kappa)
+    if not float(kappa) * float(kappa) < np.inf:  # float ** raises OverflowError, numpy's * warns
+        raise ValueError(f"kappa must be finite and > 0 with kappa^2 finite, got {kappa}")
+
+
 @dataclass(frozen=True)
 class TorusGrid:
     """Uniform periodic grid on [-pi, pi)^dim.
@@ -193,12 +206,10 @@ def helmholtz_solve(rhs: Field, kappa: float, a: float, b: float) -> Field:
 
 def _helmholtz_multiplier(grid: TorusGrid, kappa: float, a: float, b: float) -> np.ndarray:
     """1/(a + b*kappa^2*|k|^2) in the rfft layout: the multiplier helmholtz_solve applies."""
-    if not 0.0 < a < np.inf:
-        raise ValueError(f"a must be finite and > 0 (operator not invertible on constants), got {a}")
+    _check_positive("a", a)  # a = 0 is not invertible on constants
     if not 0.0 <= b < np.inf:
         raise ValueError(f"b must be finite and >= 0, got {b}")
-    if not 0.0 < kappa < np.inf:
-        raise ValueError(f"kappa must be finite and > 0, got {kappa}")
+    _check_kappa(kappa)
     return 1.0 / (a + b * kappa**2 * grid._rfft_k2)
 
 

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Field, NonFiniteError, _apply_multiplier
+from .grid import Field, NonFiniteError, _apply_multiplier, _check_kappa, _check_positive
 
 __all__ = [
     "ModelKind",
@@ -41,8 +41,7 @@ class ModelSpec:
     kappa: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.kappa < np.inf:
-            raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
+        _check_kappa(self.kappa)
 
 
 @dataclass(frozen=True)
@@ -54,9 +53,9 @@ class GeneralModelParams:
     gamma: float
 
     def __post_init__(self) -> None:
-        for name in ("kappa", "beta", "gamma"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        _check_kappa(self.kappa)
+        _check_positive("beta", self.beta)
+        _check_positive("gamma", self.gamma)
 
 
 class StandardForm(NamedTuple):
@@ -65,9 +64,9 @@ class StandardForm(NamedTuple):
     amplitude_scale: float
 
 
-def nonlinearity(kind: ModelKind, u: Field, out: np.ndarray | None = None) -> Field:
-    """Pointwise reaction term: sin(u) for sine-Gordon, u - u^3 for Allen-Cahn; written into out if given."""
-    return Field(u.grid, _reaction(kind, u.values, out))
+def nonlinearity(kind: ModelKind, u: Field) -> Field:
+    """Pointwise reaction term: sin(u) for sine-Gordon, u - u^3 for Allen-Cahn."""
+    return Field(u.grid, _reaction(kind, u.values))
 
 
 def _reaction(kind: ModelKind, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -141,8 +140,7 @@ def modified_energy(model: ModelSpec, u_curr: Field, u_prev: Field, tau: float) 
     """E(u_curr) + (1/(4*tau)) * ||u_curr - u_prev||^2, the two-step scheme's Lyapunov functional."""
     if u_curr.grid != u_prev.grid:
         raise ValueError("u_curr and u_prev live on different grids")
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    _check_positive("tau", tau)
     return energy(model, u_curr) + _increment_energy(u_curr, u_prev, tau)
 
 

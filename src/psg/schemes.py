@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .grid import Field, NonFiniteError, _apply_multiplier, _helmholtz_multiplier
+from .grid import Field, NonFiniteError, _apply_multiplier, _check_positive, _helmholtz_multiplier
 from .models import ModelSpec, _energy, _increment_energy, _reaction
 
 __all__ = [
@@ -99,8 +99,7 @@ def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float,
     weights. The steps run in buffers this generator owns, which hold each yielded
     field's array: a field is valid only until the next advance. Copy what must outlive it.
     """
-    if not 0.0 < tau < np.inf:
-        raise ValueError(f"tau must be finite and > 0, got {tau}")
+    _check_positive("tau", tau)
     g, bdf2 = u0.grid, scheme is SchemeKind.BDF2
     u, u_prev = u0, None
     # Step s writes ring[s % 2]: never u's slot; for bdf2 it is u_prev's, which

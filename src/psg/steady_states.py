@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, TorusGrid, first_derivative, laplacian
+from .grid import Field, TorusGrid, _check_kappa, _check_positive, first_derivative, laplacian
 
 __all__ = [
     "Regime",
@@ -101,15 +101,11 @@ def classify(C: float) -> Regime:
 
 def first_integral(u, du, kappa: float):
     """C = (1/2)*kappa^2*(u')^2 - cos(u); constant along exact orbits."""
+    _check_kappa(kappa)
     u = np.asarray(u, dtype=np.float64)
     du = np.asarray(du, dtype=np.float64)
     out = 0.5 * kappa**2 * du**2 - np.cos(u)
     return float(out) if out.ndim == 0 else out
-
-
-def _check_kappa(kappa: float) -> None:
-    if not 0.0 < kappa < np.inf:
-        raise ValueError(f"kappa must be finite and > 0, got {kappa}")
 
 
 def _check_kink(kappa: float, sign: int, c: float) -> None:
@@ -266,11 +262,11 @@ def reflect_extend(
         # 4th-order one-sided estimate; a 2nd-order one cannot certify a
         # ~zero slope to tol on moderate grids.
         endpoint_slope = (-25.0 * u[0] + 48.0 * u[1] - 36.0 * u[2] + 16.0 * u[3] - 3.0 * u[4]) / (12.0 * h)
-        if abs(endpoint_slope) > tol:
+        if not abs(endpoint_slope) <= tol:  # NaN fails too
             raise ReflectionError(f"even reflection needs u'(x0) ~ 0, got {endpoint_slope:.3e}")
         mirrored = u[:0:-1]
     elif mode is Reflection.ODD:
-        if abs(u[0]) > tol:
+        if not abs(u[0]) <= tol:
             raise ReflectionError(f"odd reflection needs u(x0) ~ 0, got {u[0]:.3e}")
         mirrored = -u[:0:-1]
     else:
@@ -306,8 +302,9 @@ def residual(u, kappa: float, *, spacing: float | None = None, periodic: bool | 
         values = np.asarray(u, dtype=np.float64)
         if values.ndim != 1:
             raise ValueError("residual expects 1D samples")
-        if spacing is None or not 0.0 < spacing < np.inf:
-            raise ValueError(f"spacing must be finite and > 0 for plain arrays, got {spacing}")
+        if spacing is None:
+            raise ValueError("plain arrays need an explicit spacing")
+        _check_positive("spacing", spacing)
         periodic = False if periodic is None else periodic
 
     if periodic:

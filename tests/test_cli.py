@@ -337,6 +337,26 @@ def test_non_finite_input_rejected(argv, tmp_path, capsys):
     assert not (tmp_path / "x" / "profile.csv").exists()
 
 
+HUGE_KAPPA = {
+    "run": _run_argv(kappa="1e200"),
+    "sweep": ["sweep", "--model", "sg", "--scheme", "imex1", "--dim", "1", "--kappa", "1e200",
+              "--n", "16", "--tfinal", "1", "--init", "pi_sin", "--tau-list", "0.1,0.5"],
+    **{f"steady-{case}": ["steady", "--case", case, "--kappa", "1e200"]
+       for case in ("zero", "constant", "kink", "periodic")},
+}
+
+
+@pytest.mark.parametrize("argv", list(HUGE_KAPPA.values()), ids=list(HUGE_KAPPA))
+def test_kappa_with_overflowing_square_rejected(argv, tmp_path, capsys):
+    # 1e200 is finite but its square is not: psg run made --out and then died in an OverflowError
+    # traceback, psg sweep failed every tau (exit 2) and psg steady raised the traceback too.
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 1
+    printed = capsys.readouterr()
+    assert printed.err.startswith("error: kappa must be finite and > 0") and printed.err.count("\n") == 1
+    assert printed.out == ""
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("tfinal", ["inf", "nan", "-1"])
 def test_bad_tfinal_named(command, tfinal, tmp_path, capsys):

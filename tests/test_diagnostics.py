@@ -181,6 +181,23 @@ class TestConvergenceOrder:
         with pytest.raises(ValueError):
             fit_order([0.1, 0.05], [1.0, 0.0])
 
+    @pytest.mark.parametrize("taus, errors, bad", [
+        ([0.1, 0.05], [1.0, np.inf], "errors"),  # returned nan
+        ([0.1, 0.05], [np.nan, 1.0], "errors"),
+        ([0.1, np.nan], [1.0, 0.5], "taus"),     # LAPACK printed DLASCL and raised LinAlgError
+        ([0.1, np.inf], [1.0, 0.5], "taus"),
+        ([0.1, -0.05], [1.0, 0.5], "taus"),
+        ([0.1, 0.0], [1.0, 0.5], "taus"),
+    ], ids=["error-inf", "error-nan", "tau-nan", "tau-inf", "tau-negative", "tau-zero"])
+    def test_fit_order_rejects_non_finite_or_non_positive(self, taus, errors, bad):
+        with pytest.raises(ValueError, match=f"^{bad} must all be finite and > 0"):
+            fit_order(taus, errors)
+
+    def test_fit_order_needs_distinct_taus(self):
+        # one repeated tau has no slope; polyfit returned 0.0753 with a RankWarning
+        with pytest.raises(ValueError, match="^need at least two distinct taus"):
+            fit_order([0.1, 0.1], [1.0, 0.5])
+
     def test_first_order_scheme_observed(self):
         config = demo_config(n_per_axis=64, kappa=0.5, t_final=0.5, tau=0.1)
         slope = convergence_order(config, SchemeKind.IMEX1, tau_base=0.1, levels=3, t_final=0.5)
@@ -192,6 +209,11 @@ class TestConvergenceOrder:
             convergence_order(config, SchemeKind.IMEX1, tau_base=0.3, levels=3, t_final=1.0)
         with pytest.raises(ValueError, match="levels must be >= 3"):
             convergence_order(config, SchemeKind.IMEX1, tau_base=0.1, levels=2, t_final=1.0)
+
+    def test_nan_tau_base_named(self):
+        # a <= 0 test let nan through, to be reported as a bad "tau" by the first tested config
+        with pytest.raises(ValueError, match="^tau_base must be finite and > 0, got nan$"):
+            convergence_order(demo_config(), SchemeKind.IMEX1, tau_base=np.nan, levels=3, t_final=1.0)
 
     def test_linear_problem_against_heat_kernel(self):
         # Drop the reaction term: the implicit step is exactly

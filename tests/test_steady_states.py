@@ -77,6 +77,12 @@ class TestFirstIntegral:
         C = first_integral(u, du, kappa)
         assert np.max(np.abs(C - 1.0)) <= 1e-10
 
+    @pytest.mark.parametrize("kappa", [np.nan, -1.0])
+    def test_bad_kappa_rejected(self, kappa):
+        # unchecked, nan gave C = nan and a negative kappa passed as its absolute value
+        with pytest.raises(ValueError, match="^kappa must be finite and > 0"):
+            first_integral(0.0, 1.0, kappa)
+
 
 class TestKink:
     def test_center_and_limits(self):
@@ -279,6 +285,12 @@ class TestReflectExtend:
         x = np.linspace(0.0, 1.0, 11)
         with pytest.raises(ReflectionError):
             reflect_extend(x, 0.1 + 0.0 * x, Reflection.ODD)
+
+    @pytest.mark.parametrize("mode", list(Reflection), ids=lambda m: m.value)
+    def test_nan_samples_rejected(self, mode):
+        # abs(nan) > tol is False: an all-NaN branch passed the endpoint check and came back mirrored
+        with pytest.raises(ReflectionError):
+            reflect_extend(np.linspace(0.0, 1.0, 6), np.full(6, np.nan), mode)
 
 
 class TestResidual:
