@@ -7,15 +7,13 @@ Exit codes: 0 clean, 1 usage or input error, 2 runtime failure,
 from __future__ import annotations
 
 import argparse
-import errno
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .config import INIT_PRESETS, ExperimentConfig, initial_field
-from .diagnostics import MonitorReport, energy_monitor, max_principle_monitor, stability_sweep
+from .diagnostics import MonitorReport, _monitor_reports, stability_sweep
 from .grid import NonFiniteError, _check_positive
 from .models import ModelKind
 from .schemes import SchemeKind, run_steps
@@ -135,6 +133,7 @@ def _report_lines(config: ExperimentConfig, args, reports: dict[str, MonitorRepo
 
 def cmd_run(args) -> int:
     config = _build_config(args, tau=args.tau)
+    n_steps = config.step_count  # a tau that does not divide --tfinal fails before anything is written
     if args.snap_every < 0:
         raise ValueError(f"snap_every must be >= 0, got {args.snap_every}")
     u0 = initial_field(config)
@@ -142,26 +141,21 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     records = []
-    for u, record in run_steps(u0, config.model, config.scheme, config.tau, config.step_count):
+    for u, record in run_steps(u0, config.model, config.scheme, config.tau, n_steps):
         records.append(record)
         if args.snap_every > 0 and record.step_index % args.snap_every == 0:
             # written before the next step overwrites u's buffer
             io.write_snapshot(out / f"snap_{record.step_index}.psg", u, record.t, config.kappa)
     io.write_series_csv(out / "series.csv", records)
 
-    reports = {
-        "energy": energy_monitor(records),
-        "modified_energy": energy_monitor(records, modified=True),
-        "maxp": max_principle_monitor(records),
-    }
-    fired = any(reports[name].violated for name in args.monitors)
-    code = 3 if fired else 0
+    reports = dict(zip(MONITOR_NAMES, _monitor_reports(records)))
+    code = 3 if any(reports[name].violated for name in args.monitors) else 0
     final = records[-1]
     (out / "report.txt").write_text(
         "\n".join(_report_lines(config, args, reports, final.energy, final.linf, code)) + "\n",
         encoding="ascii",
     )
-    print(f"run finished: {config.step_count} steps, final t = {final.t:g}, "
+    print(f"run finished: {n_steps} steps, final t = {final.t:g}, "
           f"final energy = {final.energy:.12g}, exit {code}")
     return code
 
@@ -174,16 +168,11 @@ def cmd_sweep(args) -> int:
     if not taus or not all(0.0 < t < np.inf for t in taus):
         raise ValueError(f"--tau-list entries must all be finite and > 0, got {args.tau_list!r}")
 
-    # stability_sweep swaps in each listed tau and records a bad one per tau;
-    # the base config only needs a tau that is valid for the run length.
-    t_final = _t_final(args)
-    config = _build_config(args, tau=t_final if t_final is not None else taus[0])
-    existing = next(p for p in (args.out, *args.out.parents) if p.exists())  # --out is made after the sweep: check it now
-    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
-        code = errno.EACCES if existing.is_dir() else errno.ENOTDIR
-        raise OSError(code, os.strerror(code), str(args.out))
+    # any listed tau will do: stability_sweep runs each for config.steps_for(tau) steps, recording a bad one
+    config = _build_config(args, tau=taus[0])
+    initial_field(config)  # a bad --init exits 1 with nothing written
+    args.out.mkdir(parents=True, exist_ok=True)  # an unusable --out exits 2 before any tau runs
     sweep = stability_sweep(config, taus)
-    args.out.mkdir(parents=True, exist_ok=True)
     io.write_sweep_csv(args.out / "sweep.csv", sweep)
     for tau, reports, error in zip(sweep.tau_values, sweep.reports, sweep.errors):
         if error is not None:

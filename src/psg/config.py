@@ -30,9 +30,9 @@ _COMMENSURATE_RTOL = 1e-9
 class ExperimentConfig:
     """One solver run: model, scheme, grid, time stepping and init.
 
-    Exactly one of t_final / n_steps must be given; t_final must be an
-    integer multiple of tau (within 1e-9 relative) so runs land exactly on
-    the requested final time rather than silently rounding.
+    Exactly one of t_final / n_steps must be given. steps_for(tau) checks
+    that t_final is an integer multiple of tau (within 1e-9 relative), so
+    runs land exactly on the requested final time rather than rounding.
     """
 
     model_kind: ModelKind
@@ -50,13 +50,7 @@ class ExperimentConfig:
         if (self.t_final is None) == (self.n_steps is None):
             raise ValueError("exactly one of t_final / n_steps must be given")
         if self.t_final is not None:
-            if not 0.0 < self.t_final / self.tau < np.inf:
-                raise ValueError(f"t_final / tau must be finite and > 0, got {self.t_final} / {self.tau}")
-            steps = round(self.t_final / self.tau)
-            if steps < 1 or abs(steps * self.tau - self.t_final) > _COMMENSURATE_RTOL * max(1.0, self.t_final):
-                raise ValueError(
-                    f"t_final = {self.t_final} is not an integer multiple of tau = {self.tau}"
-                )
+            _check_positive("t_final", self.t_final)
         elif self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         # Fail fast on bad grid/model parameters.
@@ -73,9 +67,21 @@ class ExperimentConfig:
 
     @property
     def step_count(self) -> int:
-        if self.n_steps is not None:
-            return self.n_steps
-        return round(self.t_final / self.tau)
+        return self.steps_for(self.tau)
+
+    def steps_for(self, tau: float) -> int:
+        """Steps of this run at time step tau: n_steps, or t_final / tau when that is an integer."""
+        return self.n_steps if self.n_steps is not None else _steps_to(self.t_final, tau)
+
+
+def _steps_to(t_final: float, tau: float) -> int:
+    """t_final / tau, or ValueError unless it is a positive integer to within 1e-9 relative."""
+    if not 0.0 < t_final / tau < np.inf:
+        raise ValueError(f"t_final / tau must be finite and > 0, got {t_final} / {tau}")
+    steps = round(t_final / tau)
+    if steps < 1 or abs(steps * tau - t_final) > _COMMENSURATE_RTOL * max(1.0, t_final):
+        raise ValueError(f"t_final = {t_final} is not an integer multiple of tau = {tau}")
+    return steps
 
 
 def initial_field(config: ExperimentConfig) -> Field:

@@ -12,7 +12,6 @@ because the guarantees are exact only in exact arithmetic.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -21,9 +20,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig, initial_field
+from .config import ExperimentConfig, _steps_to, initial_field
 from .grid import _check_positive
-from .schemes import SchemeKind, StepRecord, _advance, run
+from .schemes import SchemeKind, StepRecord, _advance, _checked, run
 
 __all__ = [
     "MonitorKind",
@@ -97,6 +96,11 @@ def max_principle_monitor(
     return _excess_report(MonitorKind.MAX_PRINCIPLE, excesses)
 
 
+def _monitor_reports(records: Sequence[StepRecord]) -> tuple[MonitorReport, MonitorReport, MonitorReport]:
+    """The energy, modified-energy and max-principle reports of a run, in SweepResult.reports order."""
+    return energy_monitor(records), energy_monitor(records, modified=True), max_principle_monitor(records)
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Per-tau monitor outcomes of a stability sweep, input order preserved.
@@ -127,9 +131,9 @@ def stability_sweep(config: ExperimentConfig, tau_values: Sequence[float]) -> Sw
 
     Runs are independent and executed on a thread pool with one worker per
     core (at most one per tau); results are deterministic and independent
-    of scheduling. A failure for one tau is recorded and does not abort the
-    other values; a bad initial field is no such failure and raises before
-    any run starts.
+    of scheduling. Each tau runs config.steps_for(tau) steps. A failure for
+    one tau (such as not dividing t_final) is recorded and does not abort
+    the others; a bad initial field raises before any run starts.
     """
     taus = tuple(float(t) for t in tau_values)
     if not taus:
@@ -140,14 +144,8 @@ def stability_sweep(config: ExperimentConfig, tau_values: Sequence[float]) -> Sw
     u0 = initial_field(config)  # one field for every member: runs never write their u0
 
     def one(tau: float) -> tuple[tuple[MonitorReport, ...], float]:
-        cfg = dataclasses.replace(config, tau=tau)
-        records = run(u0, cfg.model, cfg.scheme, tau, cfg.step_count)
-        reports = (
-            energy_monitor(records),
-            energy_monitor(records, modified=True),
-            max_principle_monitor(records),
-        )
-        return reports, records[-1].energy
+        records = run(u0, config.model, config.scheme, tau, config.steps_for(tau))
+        return _monitor_reports(records), records[-1].energy
 
     reports: list[tuple[MonitorReport, ...] | None] = [None] * len(taus)
     energies = [float("nan")] * len(taus)
@@ -195,16 +193,12 @@ def convergence_order(
     _check_positive("tau_base", tau_base)
     taus = [tau_base / 2**level for level in range(levels)]
     tau_ref = tau_base / 2 ** (levels + 2)
-    step_counts = [dataclasses.replace(config, tau=tau, t_final=t_final, n_steps=None).step_count
-                   for tau in (*taus, tau_ref)]
+    step_counts = [_steps_to(t_final, tau) for tau in (*taus, tau_ref)]
 
     u0 = initial_field(config)
 
     def final_values(tau: float, n_steps: int) -> np.ndarray:
-        steps = _advance(u0, config.model, scheme, tau)
-        for _ in range(n_steps - 1):
-            next(steps)
-        u, _, _ = next(steps)
+        *_, u = _checked(_advance(u0, config.model, scheme, tau), n_steps)
         return u.values.copy()  # the generator's buffer, valid only until it advances
 
     u_ref = final_values(tau_ref, step_counts[-1])

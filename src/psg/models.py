@@ -8,6 +8,7 @@ F_sg(u) = cos(u) (so -F' = sin u) and F_ac(u) = (u^2-1)^2/4 (so
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -56,6 +57,7 @@ class GeneralModelParams:
         _check_kappa(self.kappa)
         _check_positive("beta", self.beta)
         _check_positive("gamma", self.gamma)
+        _check_positive("gamma * beta", self.gamma * self.beta)
 
 
 class StandardForm(NamedTuple):
@@ -155,9 +157,11 @@ def _increment_energy(u_curr: Field, u_prev: Field, tau: float, out: np.ndarray 
 def rescale_general_to_standard(p: GeneralModelParams) -> StandardForm:
     """Change of variables u = beta*v, t = gamma*beta*tau to the standard form.
 
-    Returns (sqrt(kappa^2/(gamma*beta)), gamma*beta, beta): simulate the
-    standard equation with the returned diffusion coefficient, then map
-    back via v(tau) = u(gamma*beta*tau)/beta.
+    Returns (kappa/sqrt(gamma*beta), gamma*beta, beta), or ValueError unless the
+    first is finite and > 0: simulate the standard equation with the returned
+    diffusion coefficient, then map back via v(tau) = u(gamma*beta*tau)/beta.
     """
     gb = p.gamma * p.beta
-    return StandardForm(float(np.sqrt(p.kappa**2 / gb)), gb, p.beta)
+    standard_kappa = float(p.kappa) / math.sqrt(gb)  # no kappa^2, which underflows for a tiny kappa
+    _check_positive("standard_kappa", standard_kappa)
+    return StandardForm(standard_kappa, gb, p.beta)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -121,6 +121,19 @@ def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float,
         yield u, u_prev, total
 
 
+def _checked(steps: Iterator[tuple[Field, Field, float | None]], n_steps: int,
+             then: Callable = lambda step, u, u_prev, gradient_sum: u) -> Iterator:
+    """Yield then(step, u, u_prev, gradient_sum) for steps 1..n_steps of an _advance stream, numpy's
+    overflow warnings silenced: a non-finite field or diagnostic raises NonFiniteError naming its step."""
+    for step in range(1, n_steps + 1):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = then(step, *next(steps))
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"non-finite field values at step {step}") from exc
+        yield result
+
+
 def run_steps(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float,
               n_steps: int) -> Iterator[tuple[Field, StepRecord]]:
     """Yield (u, record) after each of steps 1..n_steps, u being the step's new field.
@@ -133,17 +146,8 @@ def run_steps(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float,
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     steps = _advance(u0, model, scheme, tau, weights=u0.grid._rfft_wk2)
-    for step in range(1, n_steps + 1):
-        # Overflow in the explicit term or the energy shows up as non-finite
-        # values, which the Field constructor rejects; silence the intermediate
-        # numpy warnings for the step and its record only.
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                u, u_prev, gradient_sum = next(steps)
-                record = _record(model, tau, step, u, u_prev, gradient_sum)
-        except NonFiniteError as exc:
-            raise NonFiniteError(f"non-finite field values at step {step}") from exc
-        yield u, record
+    yield from _checked(steps, n_steps, lambda step, u, u_prev, gradient_sum:
+                        (u, _record(model, tau, step, u, u_prev, gradient_sum)))
 
 
 def run(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, n_steps: int) -> list[StepRecord]:

@@ -193,8 +193,8 @@ class PeriodicOrbit:
     def first_integral_drift(self) -> float:
         """Max deviation of the first integral from C along the orbit, u' spectral."""
         x, u = self.periodic_samples()
-        du = _periodic_derivative(u, x[1] - x[0], order=1)
-        return float(np.max(np.abs(first_integral(u, du, self.case.kappa) - self.case.C)))
+        du = _periodic_derivative(u, x[1] - x[0], order=1, kappa=self.case.kappa)  # kappa*u'
+        return float(np.max(np.abs(first_integral(u, du, 1.0) - self.case.C)))
 
 
 def _jacobi_sn(s: np.ndarray, m: float) -> tuple[float, np.ndarray]:
@@ -276,11 +276,12 @@ def reflect_extend(
     return x_ext, u_ext
 
 
-def _periodic_derivative(u: np.ndarray, spacing: float, order: int) -> np.ndarray:
-    """Spectral derivative (order 1 or 2) of one period of samples: the grid's operator, rescaled to spacing."""
+def _periodic_derivative(u: np.ndarray, spacing: float, order: int, kappa: float = 1.0) -> np.ndarray:
+    """kappa^order times the spectral derivative (order 1 or 2) of one period of samples: the grid's
+    operator times (kappa * grid spacing / spacing)^order, O(1) where the spacing ratio alone overflows."""
     f = Field(TorusGrid(1, len(u)), u)
     d = first_derivative(f) if order == 1 else laplacian(f)
-    return d.values * (f.grid.spacing / spacing) ** order
+    return d.values * (kappa * f.grid.spacing / spacing) ** order
 
 
 def residual(u, kappa: float, *, spacing: float | None = None, periodic: bool | None = None) -> float:
@@ -310,8 +311,8 @@ def residual(u, kappa: float, *, spacing: float | None = None, periodic: bool | 
     if periodic:
         if len(values) < 4 or len(values) % 2:
             raise ValueError(f"periodic samples must be an even count >= 4, got {len(values)}")
-        d2 = _periodic_derivative(values, spacing, order=2)
-        return float(np.max(np.abs(kappa**2 * d2 + np.sin(values))))
+        d2 = _periodic_derivative(values, spacing, order=2, kappa=kappa)  # kappa^2*u''
+        return float(np.max(np.abs(d2 + np.sin(values))))
 
     if len(values) < 5:
         raise ValueError("need >= 5 samples for the finite-difference window")

@@ -159,6 +159,14 @@ class TestRunCommand:
         args[args.index("pi_sin")] = "pi_sin_sin"
         assert main(args) == 1
 
+    def test_non_commensurate_tfinal_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "nc"
+        argv = ["run", "--model", "sg", "--scheme", "imex1", "--dim", "1", "--kappa", "0.1", "--tau", "0.3",
+                "--n", "16", "--tfinal", "1", "--init", "pi_sin", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: t_final = 1.0 is not an integer multiple of tau = 0.3\n"
+        assert not out.exists()
+
     def test_runtime_blowup_exit_code(self, tmp_path):
         code = main([
             "run", "--model", "ac", "--scheme", "imex1", "--dim", "1",
@@ -230,6 +238,14 @@ class TestSteadyCommand:
         assert main(["steady", "--case", "periodic", "--kappa", "0.05", "--C", "0.5", "--out", str(out)]) == 0
         assert "classification: periodic" in capsys.readouterr().out
         assert len((out / "profile.csv").read_text().splitlines()) == 1 + 2 * 257 - 1
+
+    @pytest.mark.parametrize("kappa", ["1e-200", "1e-160"])
+    def test_narrow_orbit_residual_finite(self, kappa, tmp_path, capsys):
+        # (grid spacing / orbit spacing)^2 alone overflows; with kappa folded in it stays O(1)
+        assert main(["steady", "--case", "periodic", "--kappa", kappa, "--C", "0", "--out", str(tmp_path / "p")]) == 0
+        (res,) = [line.split(": ", 1)[1] for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("residual:")]
+        assert float(res) <= 1e-10  # nan fails too
 
     def test_kink_profile(self, tmp_path, capsys):
         out = tmp_path / "k"
@@ -360,7 +376,7 @@ def test_kappa_with_overflowing_square_rejected(argv, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("tfinal", ["inf", "nan", "-1"])
 def test_bad_tfinal_named(command, tfinal, tmp_path, capsys):
-    # The sweep's base config takes tau = t_final; the error must name --tfinal, not that tau.
+    # The run length is checked per tau, after --tfinal itself: the error must name --tfinal.
     argv = ["--model", "sg", "--scheme", "imex1", "--dim", "1", "--kappa", "0.1", "--n", "16",
             "--init", "pi_sin", "--tfinal", tfinal, "--out", str(tmp_path / "x")]
     argv += ["--tau", "0.1"] if command == "run" else ["--tau-list", "0.1"]
@@ -418,7 +434,7 @@ def test_sweep_bad_init_is_input_error(make_init, tmp_path, capsys):
 
 
 def test_sweep_unusable_out_fails_before_sweep(tmp_path, monkeypatch, capsys):
-    # --out is made after the sweep, but one that cannot be made fails before any tau runs.
+    # --out is made after the initial field and before the sweep: one that cannot be made fails before any tau runs.
     def no_sweep(*args, **kwargs):
         raise AssertionError("stability_sweep ran")
     monkeypatch.setattr(psg.cli, "stability_sweep", no_sweep)

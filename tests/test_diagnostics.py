@@ -10,6 +10,7 @@ from psg import (
     ModelKind,
     MonitorKind,
     MonitorReport,
+    NonFiniteError,
     SchemeKind,
     StepRecord,
     TorusGrid,
@@ -146,6 +147,16 @@ class TestStabilitySweep:
         assert sweep.reports[0] is None
         assert np.isnan(sweep.final_energies[0])
 
+    def test_config_tau_need_not_divide_tfinal(self):
+        # The run length is checked per tau where it is used, not when the config is built.
+        config = demo_config(n_per_axis=32, t_final=6.0, tau=0.7)
+        with pytest.raises(ValueError, match="^t_final = 6.0 is not an integer multiple of tau = 0.7$"):
+            config.step_count
+        sweep = stability_sweep(config, [0.7, 0.5])
+        assert sweep.errors[0] == "ValueError: t_final = 6.0 is not an integer multiple of tau = 0.7"
+        assert sweep.errors[1] is None and sweep.reports[1] is not None
+        assert config.steps_for(0.5) == 12
+
     def test_one_initial_field_for_all_members(self, monkeypatch):
         # Members share the sweep's one initial field (and its grid's tables): runs never write u0.
         calls = []
@@ -209,6 +220,12 @@ class TestConvergenceOrder:
             convergence_order(config, SchemeKind.IMEX1, tau_base=0.3, levels=3, t_final=1.0)
         with pytest.raises(ValueError, match="levels must be >= 3"):
             convergence_order(config, SchemeKind.IMEX1, tau_base=0.1, levels=2, t_final=1.0)
+
+    def test_blowup_names_step(self):
+        # The fit steps through the same guard as run_steps: no numpy warning, and the failing step named.
+        config = demo_config(model_kind=ModelKind.ALLEN_CAHN, n_per_axis=64, t_final=8000.0, tau=1000.0)
+        with pytest.raises(NonFiniteError, match="^non-finite field values at step 6$"):
+            convergence_order(config, SchemeKind.IMEX1, tau_base=1000.0, levels=3, t_final=8000.0)
 
     def test_nan_tau_base_named(self):
         # a <= 0 test let nan through, to be reported as a bad "tau" by the first tested config

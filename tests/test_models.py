@@ -255,6 +255,19 @@ class TestRescaling:
         assert form.time_scale == 4.0
         assert form.amplitude_scale == 2.0
 
+    @pytest.mark.parametrize("params,standard_kappa", [
+        ((1.0, 1e200, 1e200), None),  # gamma*beta overflows: kappa 0.0 and time scale inf
+        ((1.0, 1e-200, 1e-200), None),  # gamma*beta underflows: ZeroDivisionError
+        ((1e150, 1e-160, 1e-160), None),  # kappa/sqrt(gamma*beta) overflows
+        ((1e-200, 1.0, 1.0), 1e-200),  # kappa^2 underflows to 0.0
+    ], ids=["gamma-beta-overflow", "gamma-beta-underflow", "kappa-overflow", "kappa-square-underflow"])
+    def test_extreme_inputs(self, params, standard_kappa):
+        if standard_kappa is None:
+            with pytest.raises(ValueError, match="must be finite and > 0"):
+                rescale_general_to_standard(GeneralModelParams(*params))
+        else:
+            assert rescale_general_to_standard(GeneralModelParams(*params)).standard_kappa == standard_kappa
+
     def test_twin_run_equivalence(self):
         # Stepping the generalized equation directly matches stepping the
         # standard form and mapping back: the change of variables commutes
