@@ -17,7 +17,7 @@ from .diagnostics import MonitorReport, _monitor_reports, stability_sweep
 from .grid import NonFiniteError, _check_positive
 from .models import ModelKind
 from .schemes import SchemeKind, run_steps
-from .steady_states import Regime, build_periodic_orbit, kink_eval, residual
+from .steady_states import Regime, SteadyStateCase, build_periodic_orbit, kink_eval, residual
 from . import __version__, io
 
 MONITOR_NAMES = ("energy", "modified_energy", "maxp")
@@ -188,27 +188,23 @@ def cmd_steady(args) -> int:
     # every value is computed (and kappa validated) before anything is written or printed
     if args.case == "periodic":
         orbit = build_periodic_orbit(args.C, args.kappa)
+        case = orbit.case
         x, u = orbit.full_profile()
         if sign < 0:
             u = -u
-        facts = [f"classification: {Regime.PERIODIC.value}", f"amplitude: {orbit.case.amplitude!r}",
-                 f"period: {orbit.period!r}", f"residual: {orbit.residual_max()!r}"]
+        extra = [f"period: {orbit.period!r}", f"residual: {orbit.residual_max()!r}"]
     else:
         x = np.linspace(-np.pi, np.pi, 513)
         if args.case == "kink":
-            u = kink_eval(args.kappa, sign, args.c, x)
-            regime, amplitude = Regime.KINK, np.pi
+            case, u = SteadyStateCase(Regime.KINK, 1.0, args.kappa), kink_eval(args.kappa, sign, args.c, x)
         elif args.case == "constant":
-            u = np.full_like(x, sign * np.pi)
-            regime, amplitude = Regime.CONSTANT_PI, np.pi
+            case, u = SteadyStateCase(Regime.CONSTANT_PI, 1.0, args.kappa), np.full_like(x, sign * np.pi)
         else:
-            u = np.zeros_like(x)
-            regime, amplitude = Regime.ZERO, 0.0
-        facts = [f"classification: {regime.value}", f"amplitude: {amplitude!r}",
-                 f"residual: {residual(u, args.kappa, spacing=x[1] - x[0])!r}"]
+            case, u = SteadyStateCase(Regime.ZERO, -1.0, args.kappa), np.zeros_like(x)
+        extra = [f"residual: {residual(u, args.kappa, spacing=x[1] - x[0])!r}"]
     args.out.mkdir(parents=True, exist_ok=True)
     io.write_profile_csv(args.out / "profile.csv", x, u)
-    print("\n".join(facts))
+    print("\n".join([f"classification: {case.regime.value}", f"amplitude: {case.amplitude!r}", *extra]))
     return 0
 
 
@@ -225,7 +221,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (NonFiniteError, OSError) as exc:  # NonFiniteError is a ValueError: caught first
+    except (NonFiniteError, OSError, MemoryError) as exc:  # NonFiniteError is a ValueError: caught first
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # usage and input errors, the parser's included

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import ExperimentConfig, _steps_to, initial_field
 from .grid import _check_positive
-from .schemes import SchemeKind, StepRecord, _advance, _checked, run
+from .schemes import SchemeKind, StepRecord, _advance, run
 
 __all__ = [
     "MonitorKind",
@@ -51,19 +51,18 @@ class MonitorReport:
     """
 
     kind: MonitorKind
-    violated: bool
     first_violation_step: int | None
     worst_excess: float
 
-    def __post_init__(self) -> None:
-        if self.violated != (self.first_violation_step is not None):
-            raise ValueError("violated must hold exactly when first_violation_step is present")
+    @property
+    def violated(self) -> bool:
+        return self.first_violation_step is not None
 
 
 def _excess_report(kind: MonitorKind, excesses: Iterable[tuple[int, float]]) -> MonitorReport:
     """Report the first step whose excess is > 0 and the largest such excess."""
     bad = [(step, excess) for step, excess in excesses if excess > 0.0]
-    return MonitorReport(kind, bool(bad), bad[0][0] if bad else None, max((e for _, e in bad), default=0.0))
+    return MonitorReport(kind, bad[0][0] if bad else None, max((e for _, e in bad), default=0.0))
 
 
 def energy_monitor(
@@ -198,7 +197,7 @@ def convergence_order(
     u0 = initial_field(config)
 
     def final_values(tau: float, n_steps: int) -> np.ndarray:
-        *_, u = _checked(_advance(u0, config.model, scheme, tau), n_steps)
+        *_, (u, _, _) = _advance(u0, config.model, scheme, tau, n_steps)
         return u.values.copy()  # the generator's buffer, valid only until it advances
 
     u_ref = final_values(tau_ref, step_counts[-1])

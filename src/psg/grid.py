@@ -166,17 +166,17 @@ class Field:
 
 
 def _apply_multiplier(grid: TorusGrid, values: np.ndarray, mult: np.ndarray,
-                      spec=None, out=None, weights=None) -> tuple[Field, float | None]:
-    """values times mult (in out if given), and sum(weights * |spectrum * mult|^2) if weights are given."""
+                      spec=None, out=None, gradient=False) -> tuple[Field, float | None]:
+    """values times mult (in out if given), and with gradient=True the result's -integral(v * Lap v) by Parseval."""
     spec = np.fft.rfftn(values, axes=tuple(range(grid.dim)), out=spec)
     spec *= mult
     total = None
-    if weights is not None:  # one half-field temporary: the imaginary squares go in out, free until the inverse
+    if gradient:  # one half-field temporary: the imaginary squares go in out, free until the inverse
         power = np.square(spec.real)
         imag2 = None if out is None else out.reshape(-1)[:power.size].reshape(power.shape)
         power += np.square(spec.imag, out=imag2)
-        power *= weights
-        total = float(power.sum())
+        power *= grid._rfft_wk2
+        total = float(power.sum()) * grid.spacing**grid.dim / grid.size
     if grid.dim == 2:  # irfftn's stages, run in spec: no second half spectrum, but spec is overwritten
         np.fft.ifft(spec, axis=0, out=spec)
     return Field(grid, np.fft.irfft(spec, n=grid.n_per_axis, axis=-1, out=out)), total

@@ -95,16 +95,15 @@ def energy(model: ModelSpec, u: Field) -> float:
     Laplacian the schemes invert, Nyquist mode included, so this is the
     discrete energy the schemes dissipate.
     """
-    return _energy(model, u, _apply_multiplier(u.grid, u.values, 1.0, weights=u.grid._rfft_wk2)[1])
+    return _energy(model, u, _apply_multiplier(u.grid, u.values, 1.0, gradient=True)[1])
 
 
-def _energy(model: ModelSpec, u: Field, weighted: float, out: np.ndarray | None = None) -> float:
-    """energy(model, u) from weighted = sum(_rfft_wk2 * |rfftn(u.values)|^2): -integral(u * Lap u) by Parseval.
+def _energy(model: ModelSpec, u: Field, gradient: float, out: np.ndarray | None = None) -> float:
+    """energy(model, u) from gradient = -integral(u * Lap u), as _apply_multiplier takes it of u's spectrum.
 
     The potential is summed in out (a field-sized scratch; a fresh array if None).
     """
     g = u.grid
-    gradient = weighted * g.spacing**g.dim / g.size
     if not np.isfinite(gradient):
         raise NonFiniteError("gradient energy is not finite")
     return g.spacing**g.dim * _potential_sum(model.kind, u.values, out) + 0.5 * model.kappa**2 * gradient

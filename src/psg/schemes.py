@@ -13,9 +13,8 @@ step with exactly one imex1 step so runs are reproducible.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -45,25 +44,23 @@ class StepRecord:
     modified_energy: float
     u_min: float
     u_max: float
-    linf: float
 
-    def __post_init__(self) -> None:
-        expected = max(abs(self.u_min), abs(self.u_max))
-        if self.linf != expected:
-            raise ValueError(f"linf {self.linf} inconsistent with u_min/u_max (expected {expected})")
+    @property
+    def linf(self) -> float:
+        return max(abs(self.u_min), abs(self.u_max))
 
 
 def _imex1_kernel(u: Field, model: ModelSpec, tau: float, mult: np.ndarray,
-                  f, rhs, spec, out, weights) -> tuple[Field, float | None]:
-    """One imex1 step from u (mult has a=1) in the given buffers, which may all be out: (u_next, its gradient_sum)."""
+                  f, rhs, spec, out, gradient: bool) -> tuple[Field, float | None]:
+    """One imex1 step from u (mult has a=1) in the given buffers, which may all be out; returns as _apply_multiplier."""
     _reaction(model.kind, u.values, out=f)
     np.multiply(tau, f, out=rhs)
     np.add(u.values, rhs, out=rhs)
-    return _apply_multiplier(u.grid, rhs, mult, spec, out, weights)
+    return _apply_multiplier(u.grid, rhs, mult, spec, out, gradient)
 
 
 def _bdf2_kernel(model: ModelSpec, tau: float, u: Field, u_prev: Field, f_old: np.ndarray, mult: np.ndarray,
-                 f, rhs, spec, out, weights) -> tuple[Field, float | None]:
+                 f, rhs, spec, out, gradient: bool) -> tuple[Field, float | None]:
     """One bdf2 step (mult has a=3/2; f_old holds f(u_prev)), as _imex1_kernel; terms are summed in out."""
     _reaction(model.kind, u.values, out=f)
     np.multiply(2.0, u.values, out=rhs)
@@ -73,32 +70,33 @@ def _bdf2_kernel(model: ModelSpec, tau: float, u: Field, u_prev: Field, f_old: n
     np.subtract(term, f_old, out=term)
     np.multiply(tau, term, out=term)
     np.add(rhs, term, out=rhs)
-    return _apply_multiplier(u.grid, rhs, mult, spec, term, weights)
+    return _apply_multiplier(u.grid, rhs, mult, spec, term, gradient)
 
 
-def _record(model: ModelSpec, tau: float, step: int, u: Field, u_prev: Field, gradient_sum: float) -> StepRecord:
-    u_min, u_max = u.min(), u.max()
+def _record(model: ModelSpec, tau: float, step: int, u: Field, u_prev: Field, gradient: float) -> StepRecord:
     scratch = np.empty(u.grid.shape)  # the record's one transient field: each sum is formed in it
-    e = _energy(model, u, gradient_sum, scratch)
+    e = _energy(model, u, gradient, scratch)
     return StepRecord(
         step_index=step,
         t=step * tau,
         energy=e,
         modified_energy=e + _increment_energy(u, u_prev, tau, scratch),
-        u_min=u_min,
-        u_max=u_max,
-        linf=max(abs(u_min), abs(u_max)),
+        u_min=u.min(),
+        u_max=u.max(),
     )
 
 
-def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float,
-             weights=None) -> Iterator[tuple[Field, Field, float | None]]:
-    """Yield (u, u_prev, gradient_sum) after steps 1, 2, ... without end; the caller decides when to stop.
+def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, n_steps: int,
+             record: bool = False) -> Iterator[tuple[Field, Field, StepRecord | None]]:
+    """Yield (u, u_prev, its StepRecord if record else None) after each of steps 1..n_steps.
 
-    gradient_sum is sum(weights * |rfftn(u)|^2), taken in the solve, or None without
-    weights. The steps run in buffers this generator owns, which hold each yielded
-    field's array: a field is valid only until the next advance. Copy what must outlive it.
+    Each step runs with numpy's overflow warnings silenced: a non-finite field or
+    diagnostic raises NonFiniteError naming its step. The steps run in buffers this
+    generator owns, which hold each yielded field's array: a field is valid only
+    until the next advance. Copy what must outlive it.
     """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     _check_positive("tau", tau)
     g, bdf2 = u0.grid, scheme is SchemeKind.BDF2
     u, u_prev = u0, None
@@ -109,29 +107,21 @@ def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float,
     fs, rhs_buf = ([np.empty(g.shape) for _ in range(2)], np.empty(g.shape)) if bdf2 else (None, None)
     spec = np.empty(g._rfft_k2.shape, dtype=np.complex128)
     mults = [_helmholtz_multiplier(g, model.kappa, a, tau) for a in ((1.0, 1.5) if bdf2 else (1.0,))]
-    for step in itertools.count(1):
+    for step in range(1, n_steps + 1):
         out = ring[step % 2]
         f, rhs = (fs[step % 2], rhs_buf) if bdf2 else (out, out)
-        if bdf2 and step > 1:  # f(u_prev) is where the step before put f(its u)
-            u_next, total = _bdf2_kernel(model, tau, u, u_prev, fs[(step - 1) % 2], mults[1],
-                                         f, rhs, spec, out, weights)
-        else:  # BDF2 kick-starts with one imex1 step
-            u_next, total = _imex1_kernel(u, model, tau, mults[0], f, rhs, spec, out, weights)
-        u, u_prev = u_next, u
-        yield u, u_prev, total
-
-
-def _checked(steps: Iterator[tuple[Field, Field, float | None]], n_steps: int,
-             then: Callable = lambda step, u, u_prev, gradient_sum: u) -> Iterator:
-    """Yield then(step, u, u_prev, gradient_sum) for steps 1..n_steps of an _advance stream, numpy's
-    overflow warnings silenced: a non-finite field or diagnostic raises NonFiniteError naming its step."""
-    for step in range(1, n_steps + 1):
-        try:
+        try:  # the block closes before the yield: the caller's code between steps keeps its own np.errstate
             with np.errstate(over="ignore", invalid="ignore"):
-                result = then(step, *next(steps))
+                if bdf2 and step > 1:  # f(u_prev) is where the step before put f(its u)
+                    u_next, gradient = _bdf2_kernel(model, tau, u, u_prev, fs[(step - 1) % 2], mults[1],
+                                                    f, rhs, spec, out, record)
+                else:  # BDF2 kick-starts with one imex1 step
+                    u_next, gradient = _imex1_kernel(u, model, tau, mults[0], f, rhs, spec, out, record)
+                u, u_prev = u_next, u
+                row = _record(model, tau, step, u, u_prev, gradient) if record else None
         except NonFiniteError as exc:
             raise NonFiniteError(f"non-finite field values at step {step}") from exc
-        yield result
+        yield u, u_prev, row
 
 
 def run_steps(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float,
@@ -143,11 +133,7 @@ def run_steps(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float,
     the first bad step if any iterate or its diagnostics stop being finite.
     Deterministic given identical inputs.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    steps = _advance(u0, model, scheme, tau, weights=u0.grid._rfft_wk2)
-    yield from _checked(steps, n_steps, lambda step, u, u_prev, gradient_sum:
-                        (u, _record(model, tau, step, u, u_prev, gradient_sum)))
+    return ((u, row) for u, _, row in _advance(u0, model, scheme, tau, n_steps, record=True))
 
 
 def run(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, n_steps: int) -> list[StepRecord]:

@@ -143,7 +143,6 @@ class SteadyStateCase:
     regime: Regime
     C: float
     kappa: float
-    amplitude: float = 0.0
 
     def __post_init__(self) -> None:
         _check_kappa(self.kappa)
@@ -155,10 +154,12 @@ class SteadyStateCase:
                 raise RegimeError(f"constant +-pi requires C = 1, got C = {self.C}")
         elif by_c is not self.regime:
             raise RegimeError(f"regime {self.regime} inconsistent with C = {self.C} ({by_c})")
-        if self.regime is Regime.PERIODIC:
-            expected = float(np.arccos(-self.C))
-            if abs(self.amplitude - expected) > 1e-12:
-                raise ValueError(f"amplitude {self.amplitude} != arccos(-C) = {expected}")
+
+    @property
+    def amplitude(self) -> float:
+        if self.regime is Regime.ZERO:
+            return 0.0
+        return float(np.arccos(-self.C)) if self.regime is Regime.PERIODIC else math.pi
 
 
 @dataclass(frozen=True)
@@ -227,16 +228,14 @@ def build_periodic_orbit(C: float, kappa: float, samples: int = 257) -> Periodic
     if samples < 5:
         raise ValueError(f"samples must be >= 5, got {samples}")
 
-    amplitude = float(np.arccos(-C))
+    case = SteadyStateCase(Regime.PERIODIC, float(C), float(kappa))
     m = (1.0 + C) / 2.0  # = sin^2(amplitude/2)
     # x/kappa - K runs over [-K, K] on the uniform grid: s = -1 .. 1 quarter periods
     K, sn = _jacobi_sn(np.linspace(-1.0, 1.0, samples), m)
     period = float(4.0 * kappa * K)
     u = 2.0 * np.arcsin(math.sqrt(m) * sn)
-    u[0] = -amplitude  # turning points are exact by construction
-    u[-1] = amplitude
-
-    case = SteadyStateCase(Regime.PERIODIC, float(C), float(kappa), amplitude=amplitude)
+    u[0] = -case.amplitude  # turning points are exact by construction
+    u[-1] = case.amplitude
     return PeriodicOrbit(case, period, np.linspace(0.0, period / 2.0, samples), u)
 
 

@@ -270,6 +270,16 @@ class TestSteadyCommand:
         assert "classification: zero" in printed
         assert "classification: constant_pi" in printed
 
+    @pytest.mark.parametrize("argv,amplitude", [
+        (["--case", "zero"], "0.0"),
+        (["--case", "constant"], "3.141592653589793"),
+        (["--case", "kink"], "3.141592653589793"),
+        (["--case", "periodic", "--kappa", "0.5", "--C", "0"], "1.5707963267948966"),
+    ], ids=["zero", "constant", "kink", "periodic"])
+    def test_amplitude_line(self, argv, amplitude, tmp_path, capsys):
+        assert main(["steady", *argv, "--out", str(tmp_path / "s")]) == 0
+        assert f"\namplitude: {amplitude}\n" in capsys.readouterr().out
+
     def test_out_of_regime_exit(self, tmp_path, capsys):
         code = main(["steady", "--case", "periodic", "--kappa", "0.5", "--C", "1.5", "--out", str(tmp_path / "x")])
         assert code == 1
@@ -370,6 +380,21 @@ def test_kappa_with_overflowing_square_rejected(argv, tmp_path, capsys):
     printed = capsys.readouterr()
     assert printed.err.startswith("error: kappa must be finite and > 0") and printed.err.count("\n") == 1
     assert printed.out == ""
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_out_of_memory_exits_2(command, tmp_path, capsys, monkeypatch):
+    # A grid too large for memory (say --dim 2 --n 10000000) failed in numpy's allocator
+    # with a traceback and exit 1; it is a runtime failure, and nothing is written.
+    def no_memory(config):
+        raise MemoryError("Unable to allocate 728. TiB for an array")
+    monkeypatch.setattr(psg.cli, "initial_field", no_memory)
+    argv = ["--model", "sg", "--scheme", "imex1", "--dim", "1", "--kappa", "0.1", "--n", "16",
+            "--init", "pi_sin", "--steps", "1", "--out", str(tmp_path / "x")]
+    argv += ["--tau", "0.1"] if command == "run" else ["--tau-list", "0.1"]
+    assert main([command, *argv]) == 2
+    assert capsys.readouterr().err == "runtime failure: Unable to allocate 728. TiB for an array\n"
     assert not (tmp_path / "x").exists()
 
 

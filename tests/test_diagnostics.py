@@ -26,7 +26,7 @@ from psg import (
 
 
 def record(step, energy_value, modified=0.0, linf=0.0):
-    return StepRecord(step, 0.1 * step, energy_value, modified, -linf, linf, linf)
+    return StepRecord(step, 0.1 * step, energy_value, modified, -linf, linf)
 
 
 def demo_config(**overrides):
@@ -49,7 +49,7 @@ class TestEnergyMonitor:
     def test_monotone_series_clean(self):
         records = [record(i, 5.0 - i) for i in range(1, 6)]
         report = energy_monitor(records)
-        assert report == MonitorReport(MonitorKind.ENERGY_DISSIPATION, False, None, 0.0)
+        assert report == MonitorReport(MonitorKind.ENERGY_DISSIPATION, None, 0.0)
 
     def test_flags_first_increase(self):
         records = [record(1, 3.0), record(2, 2.0), record(3, 2.5), record(4, 1.0), record(5, 4.0)]
@@ -91,12 +91,6 @@ class TestMaxPrincipleMonitor:
         records = [record(1, 0.0, linf=2.0)]
         assert max_principle_monitor(records, bound=1.0).violated
         assert not max_principle_monitor(records, bound=3.0).violated
-
-    def test_report_invariant(self):
-        with pytest.raises(ValueError):
-            MonitorReport(MonitorKind.MAX_PRINCIPLE, True, None, 1.0)
-        with pytest.raises(ValueError):
-            MonitorReport(MonitorKind.MAX_PRINCIPLE, False, 3, 0.0)
 
 
 class TestStabilitySweep:

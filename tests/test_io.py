@@ -166,8 +166,8 @@ class TestHeatmap:
 class TestCsv:
     def test_series_roundtrip_17_digits(self, tmp_path):
         records = [
-            StepRecord(1, 0.1, -1.2345678901234567, 0.30000000000000004, -3.1, 3.0999999999999996, 3.1),
-            StepRecord(2, 0.2, np.pi, -2.718281828459045, -1e-17, 1e300, 1e300),
+            StepRecord(1, 0.1, -1.2345678901234567, 0.30000000000000004, -3.1, 3.0999999999999996),
+            StepRecord(2, 0.2, np.pi, -2.718281828459045, -1e-17, 1e300),
         ]
         path = tmp_path / "series.csv"
         write_series_csv(path, records)
@@ -185,10 +185,10 @@ class TestCsv:
             assert float(parts[6]) == rec.linf
 
     def test_sweep_csv(self, tmp_path):
-        clean = MonitorReport(MonitorKind.ENERGY_DISSIPATION, False, None, 0.0)
-        fired = MonitorReport(MonitorKind.ENERGY_DISSIPATION, True, 5, 0.01)
-        maxp = MonitorReport(MonitorKind.MAX_PRINCIPLE, False, None, 0.0)
-        modified = MonitorReport(MonitorKind.MODIFIED_ENERGY_DISSIPATION, False, None, 0.0)
+        clean = MonitorReport(MonitorKind.ENERGY_DISSIPATION, None, 0.0)
+        fired = MonitorReport(MonitorKind.ENERGY_DISSIPATION, 5, 0.01)
+        maxp = MonitorReport(MonitorKind.MAX_PRINCIPLE, None, 0.0)
+        modified = MonitorReport(MonitorKind.MODIFIED_ENERGY_DISSIPATION, None, 0.0)
         sweep = SweepResult(
             tau_values=(0.1, 2.1, 0.33),
             reports=((clean, modified, maxp), (fired, modified, maxp), None),

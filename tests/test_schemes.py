@@ -16,7 +16,6 @@ from psg import (
     ModelSpec,
     NonFiniteError,
     SchemeKind,
-    StepRecord,
     TorusGrid,
     energy,
     energy_monitor,
@@ -27,6 +26,7 @@ from psg import (
     run,
     run_steps,
 )
+from psg.grid import _apply_multiplier, _helmholtz_multiplier
 from conftest import random_smooth_field
 
 SG = ModelSpec(ModelKind.SINE_GORDON, 0.5)
@@ -147,15 +147,11 @@ class TestPreconditions:
         # unchecked, the error named the Helmholtz multiplier's b instead of tau
         u = Field.zeros(TorusGrid(1, 32))
         calls = {
-            "_advance": lambda: next(psg.schemes._advance(u, SG, SchemeKind.IMEX1, tau)),
+            "_advance": lambda: next(psg.schemes._advance(u, SG, SchemeKind.IMEX1, tau, 3)),
             "run": lambda: run(u, SG, SchemeKind.IMEX1, tau, 3),
         }
         with pytest.raises(ValueError, match="^tau must be finite and > 0"):
             calls[entry]()
-
-    def test_record_linf_invariant(self):
-        with pytest.raises(ValueError):
-            StepRecord(1, 0.1, -1.0, -1.0, -2.0, 1.0, 1.0)
 
 
 class TestSymmetries:
@@ -299,18 +295,44 @@ class TestRun:
         assert run(u0, SG, SchemeKind.BDF2, 0.2, 10) == run(u0, SG, SchemeKind.BDF2, 0.2, 10)
 
     def test_records_match_recomputation(self, rng):
-        # The recorder takes E from the Parseval sum the solve took of its spectrum;
-        # energy() transforms u afresh, so the two agree to roundoff.
+        # The recorder takes E from the Parseval sum the solve took of its spectrum: solving
+        # each step's right-hand side afresh (built as in test_carried_nonlinearity_bitwise)
+        # gives the same sum bitwise. energy() transforms u itself, so it agrees to roundoff.
         grid = TorusGrid(1, 64)
         u0 = random_smooth_field(grid, rng)
-        records = run(u0, SG, SchemeKind.BDF2, 0.25, 15)
-        steps = psg.schemes._advance(u0, SG, SchemeKind.BDF2, 0.25, weights=grid._rfft_wk2)
-        for record, (u, u_prev, gradient_sum) in zip(records, steps):  # u is valid only inside the loop
-            assert record.energy == psg.models._energy(SG, u, gradient_sum)
+        tau = 0.25
+
+        def f(values):
+            return nonlinearity(SG.kind, Field(grid, values)).values
+
+        records = run(u0, SG, SchemeKind.BDF2, tau, 15)
+        steps = psg.schemes._advance(u0, SG, SchemeKind.BDF2, tau, 15)
+        prev, curr = None, u0.values
+        for record, (u, u_prev, row) in zip(records, steps, strict=True):  # u is valid only inside the loop
+            if prev is None:  # the imex1 kick-start
+                rhs, a = curr + tau * f(curr), 1.0
+            else:
+                rhs, a = 2.0 * curr - 0.5 * prev + tau * (2.0 * f(curr) - f(prev)), 1.5
+            solved, gradient = _apply_multiplier(grid, rhs, _helmholtz_multiplier(grid, SG.kappa, a, tau),
+                                                 gradient=True)
+            assert row is None  # an unrecorded stream
+            assert np.array_equal(solved.values, u.values)
+            assert record.energy == psg.models._energy(SG, u, gradient)
             assert record.energy == pytest.approx(energy(SG, u), rel=1e-12)
-            assert record.modified_energy == pytest.approx(modified_energy(SG, u, u_prev, 0.25), rel=1e-12)
+            assert record.modified_energy == pytest.approx(modified_energy(SG, u, u_prev, tau), rel=1e-12)
             assert record.linf == u.linf()
+            prev, curr = curr, u.values.copy()
         assert len(records) == 15
+
+    @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
+    def test_consumer_keeps_its_numpy_error_settings(self, scheme):
+        # Each step runs with overflow warnings silenced, but only the step: the code
+        # consuming the stream runs between steps under its own np.errstate.
+        u0 = Field.from_function(TorusGrid(1, 32), lambda x: np.sin(x))
+        with np.errstate(all="raise"):
+            expected = np.geterr()
+            seen = [np.geterr() for _ in run_steps(u0, SG, scheme, 0.1, 4)]
+        assert seen == [expected] * 4
 
     @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
     def test_one_transform_pair_and_nonlinearity_per_step(self, scheme, monkeypatch):
@@ -343,7 +365,7 @@ class TestRun:
         # transforms' own scratch and the finiteness checks stay below 1.5 fields.
         grid = TorusGrid(2, 64)
         u0 = Field.from_function(grid, lambda x, y: np.sin(x) * np.cos(y))
-        steps = psg.schemes._advance(u0, model, scheme, 0.1)
+        steps = psg.schemes._advance(u0, model, scheme, 0.1, 13)
         assert peak_fields_after_warmup(grid, lambda: next(steps)) <= 1.5
 
     @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
@@ -368,7 +390,7 @@ class TestRun:
             checks.append(1)
             original(self)
         monkeypatch.setattr(Field, "__post_init__", counted)
-        steps = psg.schemes._advance(u0, SG, scheme, 0.1)
+        steps = psg.schemes._advance(u0, SG, scheme, 0.1, 10)
         for _ in range(10):
             next(steps)
         assert len(checks) == 10
@@ -384,7 +406,7 @@ class TestRun:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            steps = psg.schemes._advance(u0, SG, scheme, 0.1)
+            steps = psg.schemes._advance(u0, SG, scheme, 0.1, 3)
             for _ in range(3):
                 u, u_prev, _ = next(steps)
             held = tracemalloc.get_traced_memory()[0] - start

@@ -249,14 +249,16 @@ class TestPeriodicOrbit:
 
 class TestSteadyStateCase:
     def test_consistency_enforced(self):
-        SteadyStateCase(Regime.PERIODIC, 0.0, 0.5, amplitude=np.pi / 2)
-        SteadyStateCase(Regime.KINK, 1.0, 0.5, amplitude=np.pi)
-        SteadyStateCase(Regime.CONSTANT_PI, 1.0, 0.5, amplitude=np.pi)
+        # the amplitude is derived from the regime and C, so it cannot disagree with them
+        assert SteadyStateCase(Regime.ZERO, -1.0, 0.5).amplitude == 0.0
+        assert SteadyStateCase(Regime.PERIODIC, 0.0, 0.5).amplitude == np.pi / 2
+        assert SteadyStateCase(Regime.KINK, 1.0, 0.5).amplitude == np.pi
+        assert SteadyStateCase(Regime.CONSTANT_PI, 1.0, 0.5).amplitude == np.pi
         with pytest.raises(RegimeError):
-            SteadyStateCase(Regime.PERIODIC, 1.0, 0.5, amplitude=np.pi)
+            SteadyStateCase(Regime.PERIODIC, 1.0, 0.5)
         with pytest.raises(RegimeError):
             SteadyStateCase(Regime.NO_BOUNDED, 1.5, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             SteadyStateCase(Regime.PERIODIC, 0.0, 0.5, amplitude=1.0)
 
 
