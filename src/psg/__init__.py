@@ -45,8 +45,8 @@ from .steady_states import (
     residual,
 )
 from .diagnostics import (
-    MonitorKind,
     MonitorReport,
+    MonitorReports,
     SweepResult,
     convergence_order,
     energy_monitor,

@@ -13,14 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import INIT_PRESETS, ExperimentConfig, initial_field
-from .diagnostics import MonitorReport, _monitor_reports, stability_sweep
+from .diagnostics import MonitorReports, _monitor_reports, stability_sweep
 from .grid import NonFiniteError, _check_positive
 from .models import ModelKind
-from .schemes import SchemeKind, run_steps
+from .schemes import SchemeKind, StepRecord, run_steps
 from .steady_states import Regime, SteadyStateCase, build_periodic_orbit, kink_eval, residual
 from . import __version__, io
-
-MONITOR_NAMES = ("energy", "modified_energy", "maxp")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="advance one experiment and emit series/snapshots/report")
     _add_run_arguments(run_p, with_tau=True)
     run_p.add_argument("--snap-every", type=int, default=0, help="snapshot stride in steps (0 = off)")
-    run_p.add_argument("--monitors", nargs="+", choices=MONITOR_NAMES, default=[],
+    run_p.add_argument("--monitors", nargs="+", choices=MonitorReports._fields, default=[],
                        help="monitors whose violation turns the exit code to 3")
     run_p.set_defaults(func=cmd_run)
 
@@ -99,8 +97,8 @@ def _build_config(args, tau: float) -> ExperimentConfig:
     )
 
 
-def _report_lines(config: ExperimentConfig, args, reports: dict[str, MonitorReport],
-                  final_energy: float, final_linf: float, exit_code: int) -> list[str]:
+def _report_lines(config: ExperimentConfig, args, reports: MonitorReports, final: StepRecord,
+                  exit_code: int) -> list[str]:
     lines = [
         "command: run",
         f"psg_version: {__version__}",
@@ -116,19 +114,18 @@ def _report_lines(config: ExperimentConfig, args, reports: dict[str, MonitorRepo
         f"snap_every: {args.snap_every}",
         f"monitors_enabled: {','.join(args.monitors) if args.monitors else 'none'}",
     ]
-    for name, rep in reports.items():
+    for name, rep in zip(reports._fields, reports):
         first = "" if rep.first_violation_step is None else str(rep.first_violation_step)
         lines += [
             f"{name}_violated: {str(rep.violated).lower()}",
             f"{name}_first_violation_step: {first}",
             f"{name}_worst_excess: {rep.worst_excess!r}",
         ]
-    lines += [
-        f"final_energy: {final_energy!r}",
-        f"final_linf: {final_linf!r}",
+    return lines + [
+        f"final_energy: {final.energy!r}",
+        f"final_linf: {final.linf!r}",
         f"exit_code: {exit_code}",
     ]
-    return lines
 
 
 def cmd_run(args) -> int:
@@ -140,20 +137,20 @@ def cmd_run(args) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
 
-    records = []
-    for u, record in run_steps(u0, config.model, config.scheme, config.tau, n_steps):
-        records.append(record)
-        if args.snap_every > 0 and record.step_index % args.snap_every == 0:
-            # written before the next step overwrites u's buffer
-            io.write_snapshot(out / f"snap_{record.step_index}.psg", u, record.t, config.kappa)
-    io.write_series_csv(out / "series.csv", records)
+    def recorded(series):  # each row is written as its step ends, so a blow-up keeps the finite steps' rows
+        for u, record in run_steps(u0, config.model, config.scheme, config.tau, n_steps):
+            series.write(io.series_row(record))
+            if args.snap_every > 0 and record.step_index % args.snap_every == 0:
+                # written before the next step overwrites u's buffer
+                io.write_snapshot(out / f"snap_{record.step_index}.psg", u, record.t, config.kappa)
+            yield record
 
-    reports = dict(zip(MONITOR_NAMES, _monitor_reports(records)))
-    code = 3 if any(reports[name].violated for name in args.monitors) else 0
-    final = records[-1]
+    with open(out / "series.csv", "w", encoding="ascii") as series:
+        series.write(io.SERIES_HEADER)
+        reports, final = _monitor_reports(recorded(series))
+    code = 3 if any(getattr(reports, name).violated for name in args.monitors) else 0
     (out / "report.txt").write_text(
-        "\n".join(_report_lines(config, args, reports, final.energy, final.linf, code)) + "\n",
-        encoding="ascii",
+        "\n".join(_report_lines(config, args, reports, final, code)) + "\n", encoding="ascii"
     )
     print(f"run finished: {n_steps} steps, final t = {final.t:g}, "
           f"final energy = {final.energy:.12g}, exit {code}")
@@ -178,8 +175,8 @@ def cmd_sweep(args) -> int:
         if error is not None:
             print(f"tau={tau:g}: ERROR {error}")
         else:
-            print(f"tau={tau:g}: energy_violated={str(reports[0].violated).lower()} "
-                  f"maxp_violated={str(reports[2].violated).lower()}")
+            print(f"tau={tau:g}: energy_violated={str(reports.energy.violated).lower()} "
+                  f"maxp_violated={str(reports.maxp.violated).lower()}")
     return 2 if any(e is not None for e in sweep.errors) else 0
 
 

@@ -1,32 +1,31 @@
 """Runtime monitors, time-step stability sweeps and convergence-order estimation.
 
 The monitors turn the schemes' dissipation and boundedness guarantees into
-assertable checks over a recorded step series: the first-order scheme
+assertable checks over a stream of step records: the first-order scheme
 dissipates the plain energy for tau <= 2, the two-step scheme the modified
 energy for tau <= 1/2, and first-order iterates stay bounded by pi for
 tau <= 1 when the initial data is and the grid resolves the kinks (about
 kappa/h >= 2.5 at spacing h: the truncated resolvent is not positivity-
-preserving). Monotonicity is checked with a relative slack (default 1e-10)
-because the guarantees are exact only in exact arithmetic.
+preserving). One fold reads each record once and keeps none, with fixed
+slacks because the guarantees are exact only in exact arithmetic.
 """
 
 from __future__ import annotations
 
-import enum
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .config import ExperimentConfig, _steps_to, initial_field
 from .grid import _check_positive
-from .schemes import SchemeKind, StepRecord, _advance, run
+from .schemes import SchemeKind, StepRecord, _advance, run_steps
 
 __all__ = [
-    "MonitorKind",
     "MonitorReport",
+    "MonitorReports",
     "SweepResult",
     "energy_monitor",
     "max_principle_monitor",
@@ -35,10 +34,8 @@ __all__ = [
     "fit_order",
 ]
 
-class MonitorKind(enum.Enum):
-    ENERGY_DISSIPATION = "energy"
-    MODIFIED_ENERGY_DISSIPATION = "modified_energy"
-    MAX_PRINCIPLE = "max_principle"
+_REL_SLACK = 1e-10  # roundoff in an energy's n^dim-term sum grows with |E|; the 1 in 1 + |E| is a floor near E = 0
+_MAXP_BOUND = np.pi + 1e-12  # a field at +-pi (the steady state u = pi) leaves a solve a few ulps off pi
 
 
 @dataclass(frozen=True)
@@ -50,7 +47,6 @@ class MonitorReport:
     amount by which it failed (0.0 when clean).
     """
 
-    kind: MonitorKind
     first_violation_step: int | None
     worst_excess: float
 
@@ -59,69 +55,68 @@ class MonitorReport:
         return self.first_violation_step is not None
 
 
-def _excess_report(kind: MonitorKind, excesses: Iterable[tuple[int, float]]) -> MonitorReport:
-    """Report the first step whose excess is > 0 and the largest such excess."""
-    bad = [(step, excess) for step, excess in excesses if excess > 0.0]
-    return MonitorReport(kind, bad[0][0] if bad else None, max((e for _, e in bad), default=0.0))
+class MonitorReports(NamedTuple):
+    """The three monitors' reports over one run, named as the CLI's --monitors and report.txt name them."""
+
+    energy: MonitorReport
+    modified_energy: MonitorReport
+    maxp: MonitorReport
 
 
-def energy_monitor(
-    records: Sequence[StepRecord],
-    modified: bool = False,
-    rel_slack: float = 1e-10,
-) -> MonitorReport:
-    """Flag the first step with E(next) > E(curr) + rel_slack*(1 + |E(curr)|).
-
-    With modified=True the modified energy column is monitored instead.
-    """
-    if not records:
+def _monitor_reports(records: Iterable[StepRecord]) -> tuple[MonitorReports, StepRecord]:
+    """The three reports over a record stream, and its last record; reads each record once and keeps none."""
+    first: dict[str, int] = {}
+    worst = dict.fromkeys(MonitorReports._fields, 0.0)
+    last = None
+    for rec in records:
+        excesses = {"maxp": rec.linf - _MAXP_BOUND}
+        if last is not None:
+            for name in ("energy", "modified_energy"):  # a StepRecord field each
+                prev, nxt = getattr(last, name), getattr(rec, name)
+                excesses[name] = nxt - prev - _REL_SLACK * (1.0 + abs(prev))
+        for name, excess in excesses.items():
+            if excess > 0.0:
+                first.setdefault(name, rec.step_index)
+                worst[name] = max(worst[name], excess)
+        last = rec
+    if last is None:
         raise ValueError("records must be nonempty")
-    kind = MonitorKind.MODIFIED_ENERGY_DISSIPATION if modified else MonitorKind.ENERGY_DISSIPATION
-    values = [r.modified_energy if modified else r.energy for r in records]
-    excesses = ((rec.step_index, nxt - prev - rel_slack * (1.0 + abs(prev)))
-                for rec, prev, nxt in zip(records[1:], values, values[1:]))
-    return _excess_report(kind, excesses)
+    return MonitorReports(*(MonitorReport(first.get(name), worst[name]) for name in MonitorReports._fields)), last
 
 
-def max_principle_monitor(
-    records: Sequence[StepRecord],
-    bound: float = np.pi,
-    slack: float = 1e-12,
-) -> MonitorReport:
-    """Flag the first record with linf > bound + slack."""
-    if not records:
-        raise ValueError("records must be nonempty")
-    excesses = ((rec.step_index, rec.linf - (bound + slack)) for rec in records)
-    return _excess_report(MonitorKind.MAX_PRINCIPLE, excesses)
+def energy_monitor(records: Iterable[StepRecord], modified: bool = False) -> MonitorReport:
+    """Flag the first step with E(next) > E(curr) + 1e-10*(1 + |E(curr)|); the modified energy's if modified."""
+    reports = _monitor_reports(records)[0]
+    return reports.modified_energy if modified else reports.energy
 
 
-def _monitor_reports(records: Sequence[StepRecord]) -> tuple[MonitorReport, MonitorReport, MonitorReport]:
-    """The energy, modified-energy and max-principle reports of a run, in SweepResult.reports order."""
-    return energy_monitor(records), energy_monitor(records, modified=True), max_principle_monitor(records)
+def max_principle_monitor(records: Iterable[StepRecord]) -> MonitorReport:
+    """Flag the first record with linf > pi + 1e-12."""
+    return _monitor_reports(records)[0].maxp
 
 
 @dataclass(frozen=True)
 class SweepResult:
     """Per-tau monitor outcomes of a stability sweep, input order preserved.
 
-    reports[i] is (energy, modified_energy, max_principle) MonitorReports
-    for tau_values[i], or None when that run failed; errors[i] then carries
-    the failure message. final_energies[i] is NaN for failed runs.
+    reports[i] is the MonitorReports of the run at tau_values[i], or None when
+    that run failed; errors[i] then carries the failure message.
+    final_energies[i] is the run's last recorded energy, NaN if it failed.
     """
 
     tau_values: tuple[float, ...]
-    reports: tuple[tuple[MonitorReport, ...] | None, ...]
+    reports: tuple[MonitorReports | None, ...]
     final_energies: tuple[float, ...]
     errors: tuple[str | None, ...]
 
     def largest_clean_tau(self) -> float | None:
         """Largest tested tau whose plain-energy series was monotone."""
-        clean = [t for t, r in zip(self.tau_values, self.reports) if r is not None and not r[0].violated]
+        clean = [t for t, r in zip(self.tau_values, self.reports) if r is not None and not r.energy.violated]
         return max(clean) if clean else None
 
     def smallest_violating_tau(self) -> float | None:
         """Smallest tested tau whose plain-energy series was not monotone."""
-        bad = [t for t, r in zip(self.tau_values, self.reports) if r is not None and r[0].violated]
+        bad = [t for t, r in zip(self.tau_values, self.reports) if r is not None and r.energy.violated]
         return min(bad) if bad else None
 
 
@@ -142,11 +137,12 @@ def stability_sweep(config: ExperimentConfig, tau_values: Sequence[float]) -> Sw
 
     u0 = initial_field(config)  # one field for every member: runs never write their u0
 
-    def one(tau: float) -> tuple[tuple[MonitorReport, ...], float]:
-        records = run(u0, config.model, config.scheme, tau, config.steps_for(tau))
-        return _monitor_reports(records), records[-1].energy
+    def one(tau: float) -> tuple[MonitorReports, float]:
+        records = (row for _, row in run_steps(u0, config.model, config.scheme, tau, config.steps_for(tau)))
+        reports, last = _monitor_reports(records)
+        return reports, last.energy
 
-    reports: list[tuple[MonitorReport, ...] | None] = [None] * len(taus)
+    reports: list[MonitorReports | None] = [None] * len(taus)
     energies = [float("nan")] * len(taus)
     errors: list[str | None] = [None] * len(taus)
     with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(taus))) as pool:

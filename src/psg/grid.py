@@ -210,7 +210,10 @@ def _helmholtz_multiplier(grid: TorusGrid, kappa: float, a: float, b: float) -> 
     if not 0.0 <= b < np.inf:
         raise ValueError(f"b must be finite and >= 0, got {b}")
     _check_kappa(kappa)
-    return 1.0 / (a + b * kappa**2 * grid._rfft_k2)
+    with np.errstate(over="ignore", invalid="ignore"):  # where b*kappa^2*|k|^2 overflows, the mode gets 0
+        mult = 1.0 / (a + b * kappa**2 * grid._rfft_k2)
+    mult.flat[0] = 1.0 / a  # k = 0: 1/(a + b*kappa^2*0) is exactly 1/a, but inf * 0 is NaN
+    return mult
 
 
 def integrate(f: Field) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -25,6 +25,8 @@ __all__ = [
     "write_snapshot",
     "read_snapshot",
     "write_heatmap",
+    "SERIES_HEADER",
+    "series_row",
     "write_series_csv",
     "write_sweep_csv",
     "write_profile_csv",
@@ -125,14 +127,17 @@ def write_heatmap(field: Field, path) -> None:
 # CSV emission
 # ---------------------------------------------------------------------------
 
-def write_series_csv(path, records: Sequence[StepRecord]) -> None:
-    lines = ["step,t,energy,modified_energy,umin,umax,linf"]
-    for r in records:
-        lines.append(
-            f"{r.step_index},{_fmt(r.t)},{_fmt(r.energy)},{_fmt(r.modified_energy)},"
-            f"{_fmt(r.u_min)},{_fmt(r.u_max)},{_fmt(r.linf)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+SERIES_HEADER = "step,t,energy,modified_energy,umin,umax,linf\n"
+
+
+def series_row(r: StepRecord) -> str:
+    """One series.csv line, newline included: a record's columns in SERIES_HEADER's order."""
+    return (f"{r.step_index},{_fmt(r.t)},{_fmt(r.energy)},{_fmt(r.modified_energy)},"
+            f"{_fmt(r.u_min)},{_fmt(r.u_max)},{_fmt(r.linf)}\n")
+
+
+def write_series_csv(path, records: Iterable[StepRecord]) -> None:
+    Path(path).write_text(SERIES_HEADER + "".join(map(series_row, records)), encoding="ascii")
 
 
 def write_sweep_csv(path, sweep) -> None:
@@ -144,11 +149,10 @@ def write_sweep_csv(path, sweep) -> None:
         if error is not None:
             lines.append(f"{_fmt(tau)},error,,error,")
             continue
-        energy_rep, _modified_rep, maxp_rep = reports
-        first = "" if energy_rep.first_violation_step is None else str(energy_rep.first_violation_step)
+        first = "" if reports.energy.first_violation_step is None else str(reports.energy.first_violation_step)
         lines.append(
-            f"{_fmt(tau)},{str(energy_rep.violated).lower()},{first},"
-            f"{str(maxp_rep.violated).lower()},{_fmt(final_energy)}"
+            f"{_fmt(tau)},{str(reports.energy.violated).lower()},{first},"
+            f"{str(reports.maxp.violated).lower()},{_fmt(final_energy)}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 

@@ -93,7 +93,8 @@ def energy(model: ModelSpec, u: Field) -> float:
 
     The gradient term -kappa^2/2 * integral(u * Lap u) uses the spectral
     Laplacian the schemes invert, Nyquist mode included, so this is the
-    discrete energy the schemes dissipate.
+    discrete energy the schemes dissipate. NonFiniteError if it is not finite
+    (say, when kappa^2 times the gradient term overflows).
     """
     return _energy(model, u, _apply_multiplier(u.grid, u.values, 1.0, gradient=True)[1])
 
@@ -104,9 +105,8 @@ def _energy(model: ModelSpec, u: Field, gradient: float, out: np.ndarray | None 
     The potential is summed in out (a field-sized scratch; a fresh array if None).
     """
     g = u.grid
-    if not np.isfinite(gradient):
-        raise NonFiniteError("gradient energy is not finite")
-    return g.spacing**g.dim * _potential_sum(model.kind, u.values, out) + 0.5 * model.kappa**2 * gradient
+    total = g.spacing**g.dim * _potential_sum(model.kind, u.values, out) + 0.5 * model.kappa**2 * gradient
+    return _finite(total, "energy")
 
 
 def _potential_sum(kind: ModelKind, values: np.ndarray, out: np.ndarray | None = None) -> float:
@@ -126,12 +126,11 @@ def _potential_sum(kind: ModelKind, values: np.ndarray, out: np.ndarray | None =
         t -= 1.0
         np.square(t, out=t)
         t /= 4.0
-    return _finite_sum(t, "potential energy")
+    return _finite(float(t.sum()), "potential energy")
 
 
-def _finite_sum(values: np.ndarray, what: str) -> float:
-    """float(values.sum()), or NonFiniteError naming what when it is not finite (a non-finite value, or overflow)."""
-    total = float(values.sum())
+def _finite(total: float, what: str) -> float:
+    """total, or NonFiniteError naming what when it is not finite (a non-finite value, or overflow)."""
     if not np.isfinite(total):
         raise NonFiniteError(f"{what} is not finite")
     return total
@@ -142,7 +141,7 @@ def modified_energy(model: ModelSpec, u_curr: Field, u_prev: Field, tau: float) 
     if u_curr.grid != u_prev.grid:
         raise ValueError("u_curr and u_prev live on different grids")
     _check_positive("tau", tau)
-    return energy(model, u_curr) + _increment_energy(u_curr, u_prev, tau)
+    return _finite(energy(model, u_curr) + _increment_energy(u_curr, u_prev, tau), "modified energy")
 
 
 def _increment_energy(u_curr: Field, u_prev: Field, tau: float, out: np.ndarray | None = None) -> float:
@@ -150,7 +149,7 @@ def _increment_energy(u_curr: Field, u_prev: Field, tau: float, out: np.ndarray 
     g = u_curr.grid
     step = np.subtract(u_curr.values, u_prev.values, out=out)
     np.square(step, out=step)
-    return g.spacing**g.dim * _finite_sum(step, "increment energy") / (4.0 * tau)
+    return g.spacing**g.dim * _finite(float(step.sum()), "increment energy") / (4.0 * tau)
 
 
 def rescale_general_to_standard(p: GeneralModelParams) -> StandardForm:

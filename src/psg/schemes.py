@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .grid import Field, NonFiniteError, _apply_multiplier, _check_positive, _helmholtz_multiplier
-from .models import ModelSpec, _energy, _increment_energy, _reaction
+from .models import ModelSpec, _energy, _finite, _increment_energy, _reaction
 
 __all__ = [
     "SchemeKind",
@@ -80,7 +80,7 @@ def _record(model: ModelSpec, tau: float, step: int, u: Field, u_prev: Field, gr
         step_index=step,
         t=step * tau,
         energy=e,
-        modified_energy=e + _increment_energy(u, u_prev, tau, scratch),
+        modified_energy=_finite(e + _increment_energy(u, u_prev, tau, scratch), "modified energy"),
         u_min=u.min(),
         u_max=u.max(),
     )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,16 @@ def random_smooth_values(grid: TorusGrid, rng: np.random.Generator,
 
 def random_smooth_field(grid, rng, **kwargs) -> Field:
     return Field(grid, random_smooth_values(grid, rng, **kwargs))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

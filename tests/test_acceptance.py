@@ -69,7 +69,7 @@ def test_criterion_1_energy_threshold_reproduction():
         cfg = reference_config(tau=tau)
         u0 = initial_field(cfg)
         records = run(u0, cfg.model, cfg.scheme, tau, cfg.step_count)
-        report = energy_monitor(records, rel_slack=1e-10)
+        report = energy_monitor(records)
         first_pair_ok = records[0].energy <= energy(cfg.model, u0) + 1e-10 * (1 + abs(energy(cfg.model, u0)))
         outcomes[tau] = (report.violated, first_pair_ok)
     ok = (
@@ -89,7 +89,7 @@ def test_criterion_2_discrete_maximum_principle():
         model = ModelSpec(SG, kappa)
         for tau in (0.25, 0.5, 1.0):
             records = run(u0, model, SchemeKind.IMEX1, tau, 200)
-            report = max_principle_monitor(records, bound=np.pi, slack=1e-12)
+            report = max_principle_monitor(records)
             clean &= not report.violated
             worst = max(worst, max(r.linf for r in records) - np.pi)
     verdict("criterion 2 (discrete maximum principle)", clean,
@@ -104,7 +104,7 @@ def test_criterion_3_bdf2_modified_energy():
         model = ModelSpec(SG, kappa)
         for tau in (0.1, 0.5):
             records = run(u0, model, SchemeKind.BDF2, tau, 200)
-            report = energy_monitor(records, modified=True, rel_slack=1e-10)
+            report = energy_monitor(records, modified=True)
             clean &= not report.violated
             worst = max(worst, report.worst_excess)
     verdict("criterion 3 (bdf2 modified-energy dissipation)", clean,

@@ -172,6 +172,19 @@ class TestFirstDerivative:
 
 
 class TestHelmholtz:
+    def test_overflowing_multiplier_keeps_the_mean(self, rng):
+        # b*kappa^2 overflows: the multiplier was NaN at k = 0 (inf * 0), with a RuntimeWarning;
+        # every other mode is damped to 0, so the solve returns the mean
+        rhs = random_smooth_field(TorusGrid(1, 16), rng)
+        solved = helmholtz_solve(rhs, 1e150, 1.0, 1e10)
+        assert np.max(np.abs(solved.values - rhs.values.mean())) <= 1e-14 * rhs.linf()
+
+    def test_multiplier_bitwise_where_nothing_overflows(self):
+        for grid, kappa, a, b in ((TorusGrid(1, 32), 0.1, 1.0, 2.1), (TorusGrid(2, 16), 0.2, 1.5, 0.01),
+                                  (TorusGrid(2, 16), 1e150, 1.0, 1e-301), (TorusGrid(1, 8), 0.5, 2.0, 0.0)):
+            expected = 1.0 / (a + b * kappa**2 * grid._rfft_k2)
+            assert np.array_equal(_helmholtz_multiplier(grid, kappa, a, b), expected)
+
     def test_constants_fixed_for_unit_a(self):
         f = Field.constant(TorusGrid(1, 32), 1.0)
         g = helmholtz_solve(f, kappa=0.7, a=1.0, b=0.3)

@@ -9,8 +9,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from psg import (
     Field,
-    MonitorKind,
     MonitorReport,
+    MonitorReports,
     SnapshotFormatError,
     StepRecord,
     SweepResult,
@@ -185,13 +185,12 @@ class TestCsv:
             assert float(parts[6]) == rec.linf
 
     def test_sweep_csv(self, tmp_path):
-        clean = MonitorReport(MonitorKind.ENERGY_DISSIPATION, None, 0.0)
-        fired = MonitorReport(MonitorKind.ENERGY_DISSIPATION, 5, 0.01)
-        maxp = MonitorReport(MonitorKind.MAX_PRINCIPLE, None, 0.0)
-        modified = MonitorReport(MonitorKind.MODIFIED_ENERGY_DISSIPATION, None, 0.0)
+        clean = MonitorReport(None, 0.0)
+        fired = MonitorReport(5, 0.01)
         sweep = SweepResult(
             tau_values=(0.1, 2.1, 0.33),
-            reports=((clean, modified, maxp), (fired, modified, maxp), None),
+            reports=(MonitorReports(energy=clean, modified_energy=clean, maxp=clean),
+                     MonitorReports(energy=fired, modified_energy=clean, maxp=clean), None),
             final_energies=(-4.0, -3.5, float("nan")),
             errors=(None, None, "ValueError: boom"),
         )

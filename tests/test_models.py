@@ -143,6 +143,12 @@ class TestPotentials:
 
 
 class TestEnergy:
+    def test_overflowing_energy_raises(self):
+        # kappa^2 is finite, kappa^2/2 times the gradient term is not: energy() returned inf
+        u = Field.from_function(TorusGrid(1, 16), lambda x: np.pi * np.sin(x))
+        with pytest.raises(NonFiniteError, match="^energy is not finite$"):
+            energy(ModelSpec(SG, 1.3e154), u)
+
     def test_constant_fields_exact(self):
         model = ModelSpec(SG, 0.1)
         grid1 = TorusGrid(1, 32)
@@ -235,6 +241,12 @@ class TestModifiedEnergy:
             modified_energy(model, Field.zeros(TorusGrid(1, 32)), Field.zeros(TorusGrid(1, 64)), 0.5)
         with pytest.raises(ValueError):
             modified_energy(model, Field.zeros(TorusGrid(1, 32)), Field.zeros(TorusGrid(1, 32)), 0.0)
+
+    def test_overflowing_increment_raises(self):
+        # finite fields a step of 1 apart over tau = 1e-320: the increment term overflows to inf
+        grid = TorusGrid(1, 16)
+        with pytest.raises(NonFiniteError, match="^modified energy is not finite$"):
+            modified_energy(ModelSpec(SG, 0.2), Field.constant(grid, 1.0), Field.zeros(grid), 1e-320)
 
     @pytest.mark.parametrize("tau", [np.nan, np.inf])
     def test_non_finite_tau_rejected(self, tau):

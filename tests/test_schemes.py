@@ -436,6 +436,12 @@ class TestRun:
         for u, expected in zip(iterates(u0, model, SchemeKind.BDF2, tau, 12), reference, strict=True):
             assert np.array_equal(u, expected)
 
+    def test_record_rejects_overflowing_modified_energy(self):
+        # finite energies, but a step of 1 over tau = 1e-320 overflows the increment term
+        grid = TorusGrid(1, 16)
+        with pytest.raises(NonFiniteError, match="^modified energy is not finite$"):
+            psg.schemes._record(SG, 1e-320, 1, Field.constant(grid, 1.0), Field.zeros(grid), 0.0)
+
     def test_non_finite_abort_names_step(self):
         grid = TorusGrid(1, 64)
         u0 = Field.constant(grid, 2.0)
