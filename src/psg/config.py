@@ -24,6 +24,9 @@ INIT_PRESETS: dict[str, tuple[int, Callable[..., np.ndarray]]] = {
 
 # Relative tolerance for t_final / tau being an integer.
 _COMMENSURATE_RTOL = 1e-9
+# The most steps one run may take: over five hours even at 1D n=256 (~20 us a step). A longer
+# run is a mistyped --tfinal or --steps, and would otherwise step for years before failing.
+_MAX_STEPS = 10**9
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,7 @@ class ExperimentConfig:
     Exactly one of t_final / n_steps must be given. steps_for(tau) checks
     that t_final is an integer multiple of tau (within 1e-9 relative), so
     runs land exactly on the requested final time rather than rounding.
+    A run takes at most 10**9 steps, by n_steps or by t_final / tau.
     """
 
     model_kind: ModelKind
@@ -53,6 +57,8 @@ class ExperimentConfig:
             _check_positive("t_final", self.t_final)
         elif self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        elif self.n_steps > _MAX_STEPS:
+            raise ValueError(f"n_steps must be <= {_MAX_STEPS}, got {self.n_steps}")
         # Fail fast on bad grid/model parameters.
         TorusGrid(self.dim, self.n_per_axis)
         ModelSpec(self.model_kind, self.kappa)
@@ -75,10 +81,12 @@ class ExperimentConfig:
 
 
 def _steps_to(t_final: float, tau: float) -> int:
-    """t_final / tau, or ValueError unless it is a positive integer to within 1e-9 relative."""
+    """t_final / tau, or ValueError unless it is a positive integer to within 1e-9 relative and at most 10**9."""
     if not 0.0 < t_final / tau < np.inf:
         raise ValueError(f"t_final / tau must be finite and > 0, got {t_final} / {tau}")
     steps = round(t_final / tau)
+    if steps > _MAX_STEPS:
+        raise ValueError(f"t_final / tau must be <= {_MAX_STEPS} steps, got {t_final} / {tau}")
     if steps < 1 or abs(steps * tau - t_final) > _COMMENSURATE_RTOL * max(1.0, t_final):
         raise ValueError(f"t_final = {t_final} is not an integer multiple of tau = {tau}")
     return steps

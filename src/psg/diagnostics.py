@@ -12,7 +12,6 @@ slacks because the guarantees are exact only in exact arithmetic.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -21,7 +20,7 @@ import numpy as np
 
 from .config import ExperimentConfig, _steps_to, initial_field
 from .grid import _check_positive
-from .schemes import SchemeKind, StepRecord, _advance, run_steps
+from .schemes import SchemeKind, StepRecord, _advance, _cores
 
 __all__ = [
     "MonitorReport",
@@ -124,8 +123,10 @@ def stability_sweep(config: ExperimentConfig, tau_values: Sequence[float]) -> Sw
     """Run the configured experiment once per tau and attach monitor reports.
 
     Runs are independent and executed on a thread pool with one worker per
-    core (at most one per tau); results are deterministic and independent
-    of scheduling. Each tau runs config.steps_for(tau) steps. A failure for
+    available core (the CPUs this process may run on), at most one per tau.
+    Two or more workers fill the cores, so their runs do not split their
+    steps across threads; results are deterministic and independent of
+    scheduling. Each tau runs config.steps_for(tau) steps. A failure for
     one tau (such as not dividing t_final) is recorded and does not abort
     the others; a bad initial field raises before any run starts.
     """
@@ -137,15 +138,18 @@ def stability_sweep(config: ExperimentConfig, tau_values: Sequence[float]) -> Sw
 
     u0 = initial_field(config)  # one field for every member: runs never write their u0
 
+    workers = min(_cores(), len(taus))
+
     def one(tau: float) -> tuple[MonitorReports, float]:
-        records = (row for _, row in run_steps(u0, config.model, config.scheme, tau, config.steps_for(tau)))
-        reports, last = _monitor_reports(records)
+        steps = _advance(u0, config.model, config.scheme, tau, config.steps_for(tau),
+                         record=True, split=workers < 2)
+        reports, last = _monitor_reports(row for _, _, row in steps)
         return reports, last.energy
 
     reports: list[MonitorReports | None] = [None] * len(taus)
     energies = [float("nan")] * len(taus)
     errors: list[str | None] = [None] * len(taus)
-    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(taus))) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(one, tau) for tau in taus]
         for i, future in enumerate(futures):
             try:

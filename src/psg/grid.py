@@ -10,6 +10,7 @@ physical space by the callers.
 
 from __future__ import annotations
 
+import contextvars
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -165,21 +166,70 @@ class Field:
         return float(np.max(np.abs(self.values)))
 
 
-def _apply_multiplier(grid: TorusGrid, values: np.ndarray, mult: np.ndarray,
-                      spec=None, out=None, gradient=False) -> tuple[Field, float | None]:
-    """values times mult (in out if given), and with gradient=True the result's -integral(v * Lap v) by Parseval."""
-    spec = np.fft.rfftn(values, axes=tuple(range(grid.dim)), out=spec)
-    spec *= mult
-    total = None
-    if gradient:  # one half-field temporary: the imaginary squares go in out, free until the inverse
-        power = np.square(spec.real)
-        imag2 = None if out is None else out.reshape(-1)[:power.size].reshape(power.shape)
-        power += np.square(spec.imag, out=imag2)
-        power *= grid._rfft_wk2
-        total = float(power.sum()) * grid.spacing**grid.dim / grid.size
-    if grid.dim == 2:  # irfftn's stages, run in spec: no second half spectrum, but spec is overwritten
-        np.fft.ifft(spec, axis=0, out=spec)
-    return Field(grid, np.fft.irfft(spec, n=grid.n_per_axis, axis=-1, out=out)), total
+def _apply_multiplier(grid: TorusGrid, values, mult: np.ndarray, spec=None, out=None, gradient=False,
+                      helper=None) -> tuple[Field, float | None]:
+    """values times mult (in out if given), and with gradient=True the result's -integral(v * Lap v) by Parseval.
+
+    values is an array, or a function of a row range that forms those rows of the input and returns them.
+    The solve runs in three stages, each over rows or columns of its own: rows (values, then rfft along the
+    last axis), columns of the half spectrum (fft along axis 0, times mult, ifft) and rows (irfft). Given a
+    helper (an executor with one worker), each stage of a 2D solve runs over two halves, the second on the
+    helper; mult must then have the half spectrum's shape. Without one, each stage runs over the whole range.
+    """
+    rows_of = values if callable(values) else values.__getitem__
+    mult = np.asarray(mult)
+    spec = np.empty(grid._rfft_k2.shape, dtype=np.complex128) if spec is None else spec
+    out = np.empty(grid.shape) if out is None else out
+    if helper is None:
+        rows = cols = (...,)
+    else:
+        rows, cols = _halves(grid.n_per_axis), tuple((slice(None), c) for c in _halves(spec.shape[-1]))
+    _each(helper, rows, lambda r: np.fft.rfft(rows_of(r), axis=-1, out=spec[r]))
+    # the Parseval terms go in out, free from the row stage's end until the inverse: one buffer of the half
+    # spectrum's shape, which each column part fills in its columns and which is summed whole
+    power = out.reshape(-1)[:spec.size].reshape(spec.shape) if gradient else None
+    _each(helper, cols, lambda c: _scale_columns(grid, spec, mult, power, c))
+    total = None if power is None else float(power.sum()) * grid.spacing**grid.dim / grid.size
+    _each(helper, rows, lambda r: np.fft.irfft(spec[r], n=grid.n_per_axis, axis=-1, out=out[r]))
+    return Field(grid, out), total
+
+
+def _scale_columns(grid: TorusGrid, spec: np.ndarray, mult: np.ndarray, power, cols) -> None:
+    """The column stage over columns cols of the half spectrum, in place: fft, times mult (and, given power,
+    the Parseval terms |k|^2-weighted into power's columns), ifft."""
+    part = spec[cols]
+    if grid.dim == 2:
+        np.fft.fft(part, axis=0, out=part)
+    part *= mult[cols]
+    if power is not None:
+        terms = np.square(part.real, out=power[cols])
+        terms += np.square(part.imag)
+        terms *= grid._rfft_wk2[cols]
+    if grid.dim == 2:
+        np.fft.ifft(part, axis=0, out=part)
+
+
+def _halves(n: int) -> tuple[slice, slice]:
+    return slice(0, n // 2), slice(n // 2, n)
+
+
+def _each(helper, parts, stage) -> None:
+    """stage(part) for each of one or two parts, the second on the helper; returns when both are done.
+
+    The helper runs in a copy of this thread's context, so under its np.errstate. Both halves run with
+    1024-value ufunc buffers: numpy buffers each operand of an op on a column half, which is not contiguous,
+    and its default 8192 values per operand would take 3/4 of a field per thread for the multiply at n=256.
+    """
+    if helper is None:
+        stage(parts[0])
+        return
+    with np.errstate():  # the caller's settings; the buffer size is restored on exit
+        np.setbufsize(1024)
+        later = helper.submit(contextvars.copy_context().run, stage, parts[1])
+        try:
+            stage(parts[0])
+        finally:
+            later.result()
 
 
 def laplacian(f: Field) -> Field:

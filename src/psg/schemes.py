@@ -12,13 +12,16 @@ step with exactly one imex1 step so runs are reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .grid import Field, NonFiniteError, _apply_multiplier, _check_positive, _helmholtz_multiplier
+from .grid import Field, NonFiniteError, TorusGrid, _apply_multiplier, _check_positive, _helmholtz_multiplier
 from .models import ModelSpec, _energy, _finite, _increment_energy, _reaction
 
 __all__ = [
@@ -51,26 +54,30 @@ class StepRecord:
 
 
 def _imex1_kernel(u: Field, model: ModelSpec, tau: float, mult: np.ndarray,
-                  f, rhs, spec, out, gradient: bool) -> tuple[Field, float | None]:
+                  f, rhs, spec, out, gradient: bool, helper) -> tuple[Field, float | None]:
     """One imex1 step from u (mult has a=1) in the given buffers, which may all be out; returns as _apply_multiplier."""
-    _reaction(model.kind, u.values, out=f)
-    np.multiply(tau, f, out=rhs)
-    np.add(u.values, rhs, out=rhs)
-    return _apply_multiplier(u.grid, rhs, mult, spec, out, gradient)
+    def assemble(rows):  # u + tau*f(u) in the solve's row stage
+        v, f_r, rhs_r = u.values[rows], f[rows], rhs[rows]
+        _reaction(model.kind, v, out=f_r)
+        np.multiply(tau, f_r, out=rhs_r)
+        return np.add(v, rhs_r, out=rhs_r)
+    return _apply_multiplier(u.grid, assemble, mult, spec, out, gradient, helper)
 
 
 def _bdf2_kernel(model: ModelSpec, tau: float, u: Field, u_prev: Field, f_old: np.ndarray, mult: np.ndarray,
-                 f, rhs, spec, out, gradient: bool) -> tuple[Field, float | None]:
+                 f, rhs, spec, out, gradient: bool, helper) -> tuple[Field, float | None]:
     """One bdf2 step (mult has a=3/2; f_old holds f(u_prev)), as _imex1_kernel; terms are summed in out."""
-    _reaction(model.kind, u.values, out=f)
-    np.multiply(2.0, u.values, out=rhs)
-    term = np.multiply(0.5, u_prev.values, out=out)
-    np.subtract(rhs, term, out=rhs)
-    np.multiply(2.0, f, out=term)
-    np.subtract(term, f_old, out=term)
-    np.multiply(tau, term, out=term)
-    np.add(rhs, term, out=rhs)
-    return _apply_multiplier(u.grid, rhs, mult, spec, term, gradient)
+    def assemble(rows):  # 2u - u_prev/2 + tau*(2f(u) - f(u_prev)) in the solve's row stage
+        v, f_r, rhs_r, term = u.values[rows], f[rows], rhs[rows], out[rows]
+        _reaction(model.kind, v, out=f_r)
+        np.multiply(2.0, v, out=rhs_r)
+        np.multiply(0.5, u_prev.values[rows], out=term)
+        np.subtract(rhs_r, term, out=rhs_r)
+        np.multiply(2.0, f_r, out=term)
+        np.subtract(term, f_old[rows], out=term)
+        np.multiply(tau, term, out=term)
+        return np.add(rhs_r, term, out=rhs_r)
+    return _apply_multiplier(u.grid, assemble, mult, spec, out, gradient, helper)
 
 
 def _record(model: ModelSpec, tau: float, step: int, u: Field, u_prev: Field, gradient: float) -> StepRecord:
@@ -86,14 +93,34 @@ def _record(model: ModelSpec, tau: float, step: int, u: Field, u_prev: Field, gr
     )
 
 
+def _cores() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _splits(grid: TorusGrid) -> bool:
+    """Whether a run on grid splits each solve across two threads: 2D grids of 2^16 points and up, given two cores.
+
+    On a 2-vCPU host a split 2D step took 0.70-0.75x the unsplit time at n=256, 1.09-1.15x at n=128 and
+    2.3-3.3x at n=64 (medians of 12 alternating runs): each of its three hand-offs between threads costs
+    12-17 us, which only the larger grids' halves earn back.
+    """
+    return grid.dim == 2 and grid.size >= 2**16 and _cores() >= 2
+
+
 def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, n_steps: int,
-             record: bool = False) -> Iterator[tuple[Field, Field, StepRecord | None]]:
+             record: bool = False, split: bool = True) -> Iterator[tuple[Field, Field, StepRecord | None]]:
     """Yield (u, u_prev, its StepRecord if record else None) after each of steps 1..n_steps.
 
     Each step runs with numpy's overflow warnings silenced: a non-finite field or
     diagnostic raises NonFiniteError naming its step. The steps run in buffers this
     generator owns, which hold each yielded field's array: a field is valid only
-    until the next advance. Copy what must outlive it.
+    until the next advance. Copy what must outlive it. Where _splits(grid), each
+    solve runs its halves on this thread and on a helper thread the generator owns
+    until it ends (split=False keeps every step on this thread); the iterates are
+    bitwise the same either way.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -107,21 +134,23 @@ def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, n_step
     fs, rhs_buf = ([np.empty(g.shape) for _ in range(2)], np.empty(g.shape)) if bdf2 else (None, None)
     spec = np.empty(g._rfft_k2.shape, dtype=np.complex128)
     mults = [_helmholtz_multiplier(g, model.kappa, a, tau) for a in ((1.0, 1.5) if bdf2 else (1.0,))]
-    for step in range(1, n_steps + 1):
-        out = ring[step % 2]
-        f, rhs = (fs[step % 2], rhs_buf) if bdf2 else (out, out)
-        try:  # the block closes before the yield: the caller's code between steps keeps its own np.errstate
-            with np.errstate(over="ignore", invalid="ignore"):
-                if bdf2 and step > 1:  # f(u_prev) is where the step before put f(its u)
-                    u_next, gradient = _bdf2_kernel(model, tau, u, u_prev, fs[(step - 1) % 2], mults[1],
-                                                    f, rhs, spec, out, record)
-                else:  # BDF2 kick-starts with one imex1 step
-                    u_next, gradient = _imex1_kernel(u, model, tau, mults[0], f, rhs, spec, out, record)
-                u, u_prev = u_next, u
-                row = _record(model, tau, step, u, u_prev, gradient) if record else None
-        except NonFiniteError as exc:
-            raise NonFiniteError(f"non-finite field values at step {step}") from exc
-        yield u, u_prev, row
+    # the helper is shut down when the generator ends: exhausted, closed, or raising
+    with ThreadPoolExecutor(1) if split and _splits(g) else contextlib.nullcontext() as helper:
+        for step in range(1, n_steps + 1):
+            out = ring[step % 2]
+            f, rhs = (fs[step % 2], rhs_buf) if bdf2 else (out, out)
+            try:  # the block closes before the yield: the caller's code between steps keeps its own np.errstate
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if bdf2 and step > 1:  # f(u_prev) is where the step before put f(its u)
+                        u_next, gradient = _bdf2_kernel(model, tau, u, u_prev, fs[(step - 1) % 2], mults[1],
+                                                        f, rhs, spec, out, record, helper)
+                    else:  # BDF2 kick-starts with one imex1 step
+                        u_next, gradient = _imex1_kernel(u, model, tau, mults[0], f, rhs, spec, out, record, helper)
+                    u, u_prev = u_next, u
+                    row = _record(model, tau, step, u, u_prev, gradient) if record else None
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"non-finite field values at step {step}") from exc
+            yield u, u_prev, row
 
 
 def run_steps(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float,

@@ -168,6 +168,20 @@ class TestRunCommand:
         assert capsys.readouterr().err == "error: t_final = 1.0 is not an integer multiple of tau = 0.3\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("length,err", [
+        (("--tfinal", "1e300"), "t_final / tau must be <= 1000000000 steps, got 1e+300 / 0.1"),
+        (("--tfinal", "100000000.1"), "t_final / tau must be <= 1000000000 steps, got 100000000.1 / 0.1"),
+        (("--steps", "1000000001"), "n_steps must be <= 1000000000, got 1000000001"),
+    ], ids=["tfinal-huge", "tfinal-one-over", "steps-one-over"])
+    def test_run_length_over_cap_writes_nothing(self, length, err, tmp_path, capsys):
+        # a mistyped run length fails at once instead of stepping for years
+        out = tmp_path / "long"
+        argv = ["run", "--model", "sg", "--scheme", "imex1", "--dim", "1", "--kappa", "0.1", "--tau", "0.1",
+                "--n", "16", *length, "--init", "pi_sin", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not out.exists()
+
     def test_runtime_blowup_exit_code(self, tmp_path):
         # series.csv is written row by row: a blow-up (at step 4) keeps the rows of its finite steps
         def argv(steps, out):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import psg.diagnostics
+import psg.schemes
 from psg import (
     ExperimentConfig,
     Field,
@@ -205,6 +206,21 @@ class TestStabilitySweep:
         sweep = stability_sweep(demo_config(t_final=10.0), [0.5, 1.0, 2.0])
         assert sweep.errors == (None, None, None)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("cores,taus,split", [(2, [0.1, 0.2], False), (2, [0.1], True), (1, [0.1, 0.2], True)])
+    def test_members_split_only_alone(self, cores, taus, split, monkeypatch):
+        # Two or more pool workers fill the cores, so their members step unsplit; a lone
+        # worker's member may split its steps (where the grid is large enough).
+        seen = []
+
+        def advance(*args, **kwargs):
+            seen.append(kwargs["split"])
+            return psg.schemes._advance(*args, **kwargs)
+        monkeypatch.setattr(psg.diagnostics, "_cores", lambda: cores)
+        monkeypatch.setattr(psg.diagnostics, "_advance", advance)
+        sweep = stability_sweep(demo_config(n_per_axis=16, t_final=None, n_steps=3), taus)
+        assert sweep.errors == (None,) * len(taus)
+        assert seen == [split] * len(taus)
 
     def test_bad_initial_field_raises_before_runs(self):
         with pytest.raises(ValueError, match="init preset 'pi_sin_sin' is 2D"):

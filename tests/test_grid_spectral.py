@@ -26,6 +26,9 @@ from psg import (
     residual,
     run,
 )
+import psg.grid
+import psg.models
+import psg.schemes
 from psg.grid import _apply_multiplier, _helmholtz_multiplier
 from psg.models import _energy
 from conftest import random_smooth_field
@@ -93,11 +96,33 @@ class TestTransforms:
         assert np.max(np.abs(back.values - f.values)) <= 1e-13 * f.linf()
 
     def test_every_transform_runs_in_apply_multiplier(self, monkeypatch, rng):
-        # The solver, its diagnostics and the steady-state checks use only the rfft path:
-        # rfftn forward, ifft then irfft back. No other transform may run.
+        # The solver, its diagnostics and the steady-state checks use only the rfft path, and
+        # only inside _apply_multiplier's stages: rfft along rows, fft and ifft along columns,
+        # irfft along rows. No other transform may run.
+        depth = [0]
+
+        def inside(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return apply_multiplier(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def staged(transform):
+            def wrapper(*args, **kwargs):
+                assert depth[0] > 0, "a transform outside _apply_multiplier ran"
+                return transform(*args, **kwargs)
+            return wrapper
+
         def forbidden(*args, **kwargs):
-            raise AssertionError("a transform outside _apply_multiplier ran")
-        for name in ("fft", "fftn", "ifftn", "irfftn"):
+            raise AssertionError("a transform other than _apply_multiplier's stages ran")
+
+        apply_multiplier = psg.grid._apply_multiplier
+        for module in (psg.grid, psg.models, psg.schemes):
+            monkeypatch.setattr(module, "_apply_multiplier", inside)
+        for name in ("rfft", "fft", "ifft", "irfft"):
+            monkeypatch.setattr(np.fft, name, staged(getattr(np.fft, name)))
+        for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2", "hfft", "ihfft"):
             monkeypatch.setattr(np.fft, name, forbidden)
 
         grid = TorusGrid(2, 16)

@@ -1,7 +1,9 @@
 """Time steppers: exact reductions, symmetries, dissipation and boundedness."""
 
 import math
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -336,11 +338,11 @@ class TestRun:
 
     @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
     def test_one_transform_pair_and_nonlinearity_per_step(self, scheme, monkeypatch):
-        # A recorded step is its Helmholtz solve's transform pair (in 2D the inverse
-        # is irfftn's stages, ifft then irfft) and one evaluation of f: the energy
-        # reuses the solve's spectrum, and BDF2 carries f(u_prev) over from the step
-        # before (the kick-start's f(u0)).
-        counts = {"rfftn": 0, "ifft": 0, "irfft": 0, "irfftn": 0, "_reaction": 0}
+        # A recorded step is its Helmholtz solve's transform pair (in 2D the forward
+        # transform is rfftn's stages, rfft then fft, and the inverse irfftn's, ifft
+        # then irfft) and one evaluation of f: the energy reuses the solve's spectrum,
+        # and BDF2 carries f(u_prev) over from the step before (the kick-start's f(u0)).
+        counts = {"rfft": 0, "fft": 0, "ifft": 0, "irfft": 0, "rfftn": 0, "irfftn": 0, "_reaction": 0}
 
         def counted(owner, name):
             original = getattr(owner, name)
@@ -350,20 +352,23 @@ class TestRun:
                 return original(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("rfftn", "ifft", "irfft", "irfftn"):
+        for name in ("rfft", "fft", "ifft", "irfft", "rfftn", "irfftn"):
             counted(np.fft, name)
         counted(psg.schemes, "_reaction")
         u0 = Field.from_function(TorusGrid(2, 16), lambda x, y: np.sin(x) * np.cos(y))
         records = run(u0, SG, scheme, 0.1, 7)
         assert len(records) == 7
-        assert counts == {"rfftn": 7, "ifft": 7, "irfft": 7, "irfftn": 0, "_reaction": 7}
+        assert counts == {"rfft": 7, "fft": 7, "ifft": 7, "irfft": 7, "rfftn": 0, "irfftn": 0, "_reaction": 7}
 
     @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
-    @pytest.mark.parametrize("model", [SG, AC], ids=["sg", "ac"])
-    def test_steps_allocate_no_fields(self, model, scheme):
+    @pytest.mark.parametrize("model,n", [pytest.param(SG, 64, id="sg"), pytest.param(AC, 64, id="ac"),
+                                         pytest.param(SG, 256, id="sg-256"), pytest.param(AC, 256, id="ac-256")])
+    def test_steps_allocate_no_fields(self, model, n, scheme, monkeypatch):
         # After warm-up a step writes only into the buffers _advance owns: the
-        # transforms' own scratch and the finiteness checks stay below 1.5 fields.
-        grid = TorusGrid(2, 64)
+        # transforms' own scratch and the finiteness checks stay below 1.5 fields,
+        # also at n=256, where each solve runs half its rows and columns on the helper.
+        monkeypatch.setattr(psg.schemes, "_cores", lambda: 2)
+        grid = TorusGrid(2, n)
         u0 = Field.from_function(grid, lambda x, y: np.sin(x) * np.cos(y))
         steps = psg.schemes._advance(u0, model, scheme, 0.1, 13)
         assert peak_fields_after_warmup(grid, lambda: next(steps)) <= 1.5
@@ -395,12 +400,19 @@ class TestRun:
             next(steps)
         assert len(checks) == 10
 
-    @pytest.mark.parametrize("scheme,fields", [(SchemeKind.IMEX1, 4.0), (SchemeKind.BDF2, 7.5)])
-    def test_run_holds_only_its_buffers(self, scheme, fields):
+    @pytest.mark.parametrize("scheme,fields,n", [
+        pytest.param(SchemeKind.IMEX1, 4.0, 64, id="SchemeKind.IMEX1-4.0"),
+        pytest.param(SchemeKind.BDF2, 7.5, 64, id="SchemeKind.BDF2-7.5"),
+        pytest.param(SchemeKind.IMEX1, 4.0, 256, id="SchemeKind.IMEX1-4.0-256"),
+        pytest.param(SchemeKind.BDF2, 7.5, 256, id="SchemeKind.BDF2-7.5-256"),
+    ])
+    def test_run_holds_only_its_buffers(self, scheme, fields, n, monkeypatch):
         # A run holds its 2-slot ring, a half spectrum (~1 field) and its multipliers
         # (~1/2 field each); bdf2 adds two f slots and a right-hand side, while imex1
-        # forms f(u) and its right-hand side in the output slot.
-        grid = TorusGrid(2, 64)
+        # forms f(u) and its right-hand side in the output slot. At n=256 the run
+        # also holds its helper thread, which adds no field.
+        monkeypatch.setattr(psg.schemes, "_cores", lambda: 2)
+        grid = TorusGrid(2, n)
         u0 = Field.from_function(grid, lambda x, y: np.sin(x) * np.cos(y))
         grid._rfft_k2  # the grid caches its tables once for every run on it
         tracemalloc.start()
@@ -451,3 +463,65 @@ class TestRun:
         huge = Field.from_function(grid, lambda x: 1e200 * np.sin(x))
         with pytest.raises(NonFiniteError, match=r"step 1$"):
             run(huge, SG, SchemeKind.IMEX1, 0.1, 3)
+
+
+class TestSplitSteps:
+    """From 2^16 points on and given two cores, each 2D solve runs half its rows and columns on a helper thread."""
+
+    @staticmethod
+    def stream(u0, model, scheme, record, cores, monkeypatch, n_steps=5):
+        """Copies of each (u, u_prev, record) _advance yields, as on a host with the given cores."""
+        monkeypatch.setattr(psg.schemes, "_cores", lambda: cores)
+        baseline = threading.active_count()
+        yielded = []
+        for u, u_prev, row in psg.schemes._advance(u0, model, scheme, 0.05, n_steps, record=record):
+            assert threading.active_count() == baseline + (cores > 1)  # the run's one helper, if it splits
+            yielded.append((u.values.tobytes(), u_prev.values.tobytes(), repr(row)))
+        return yielded
+
+    @pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])
+    @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
+    @pytest.mark.parametrize("model", [SG, AC], ids=["sg", "ac"])
+    @pytest.mark.parametrize("n", [256, 270])  # 270: halves of 135 rows, and of 68 half-spectrum columns
+    def test_split_steps_bitwise(self, n, model, scheme, record, monkeypatch, rng):
+        u0 = random_smooth_field(TorusGrid(2, n), rng, target_linf=3.0)
+        split = self.stream(u0, model, scheme, record, 2, monkeypatch)
+        assert split == self.stream(u0, model, scheme, record, 1, monkeypatch)
+
+    def test_small_and_1d_grids_do_not_split(self, monkeypatch):
+        monkeypatch.setattr(psg.schemes, "_cores", lambda: 2)
+        assert psg.schemes._splits(TorusGrid(2, 256))
+        assert not psg.schemes._splits(TorusGrid(2, 254))  # 64516 points, below 2^16
+        assert not psg.schemes._splits(TorusGrid(1, 2**16))
+        monkeypatch.setattr(psg.schemes, "_cores", lambda: 1)
+        assert not psg.schemes._splits(TorusGrid(2, 512))
+
+    # Unrecorded, u^3 overflows at step 5 in both threads' rows; recorded, the Parseval sum
+    # overflows a step earlier, in the columns of the mean mode.
+    @pytest.mark.parametrize("record,step", [(False, 5), (True, 4)], ids=["unrecorded", "recorded"])
+    @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
+    def test_blowup_names_step_without_warnings(self, scheme, record, step, monkeypatch):
+        # The helper runs its halves under the step's np.errstate too: an overflow in
+        # either thread is silent, and the finiteness checks name the step.
+        monkeypatch.setattr(psg.schemes, "_cores", lambda: 2)
+        u0 = Field.from_function(TorusGrid(2, 256), lambda x, y: 2.0 + 0.5 * np.sin(x) * np.cos(y))
+        baseline = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteError, match=rf"^non-finite field values at step {step}$"):
+                for _ in psg.schemes._advance(u0, AC, scheme, 1e3, 50, record=record):
+                    pass
+        assert threading.active_count() == baseline
+
+    def test_helper_ends_with_its_run(self, monkeypatch):
+        monkeypatch.setattr(psg.schemes, "_cores", lambda: 2)
+        u0 = Field.from_function(TorusGrid(2, 256), lambda x, y: np.sin(x) * np.cos(y))
+        baseline = threading.active_count()
+        steps = psg.schemes._advance(u0, SG, SchemeKind.BDF2, 0.1, 10)
+        next(steps)
+        assert threading.active_count() == baseline + 1
+        steps.close()  # closed early
+        assert threading.active_count() == baseline
+        for _ in psg.schemes._advance(u0, SG, SchemeKind.IMEX1, 0.1, 3):  # exhausted
+            pass
+        assert threading.active_count() == baseline
