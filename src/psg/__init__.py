@@ -49,9 +49,8 @@ from .diagnostics import (
     MonitorReports,
     SweepResult,
     convergence_order,
-    energy_monitor,
     fit_order,
-    max_principle_monitor,
+    monitor_reports,
     stability_sweep,
 )
 from .config import ExperimentConfig, INIT_PRESETS, initial_field

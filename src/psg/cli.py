@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import INIT_PRESETS, ExperimentConfig, initial_field
-from .diagnostics import MonitorReports, _monitor_reports, stability_sweep
+from .diagnostics import MonitorReports, monitor_reports, stability_sweep
 from .grid import NonFiniteError, _check_positive
 from .models import ModelKind
 from .schemes import SchemeKind, StepRecord, run_steps
@@ -147,7 +147,7 @@ def cmd_run(args) -> int:
 
     with open(out / "series.csv", "w", encoding="ascii") as series:
         series.write(io.SERIES_HEADER)
-        reports, final = _monitor_reports(recorded(series))
+        reports, final = monitor_reports(recorded(series))
     code = 3 if any(getattr(reports, name).violated for name in args.monitors) else 0
     (out / "report.txt").write_text(
         "\n".join(_report_lines(config, args, reports, final, code)) + "\n", encoding="ascii"

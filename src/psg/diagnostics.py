@@ -26,8 +26,7 @@ __all__ = [
     "MonitorReport",
     "MonitorReports",
     "SweepResult",
-    "energy_monitor",
-    "max_principle_monitor",
+    "monitor_reports",
     "stability_sweep",
     "convergence_order",
     "fit_order",
@@ -62,8 +61,10 @@ class MonitorReports(NamedTuple):
     maxp: MonitorReport
 
 
-def _monitor_reports(records: Iterable[StepRecord]) -> tuple[MonitorReports, StepRecord]:
-    """The three reports over a record stream, and its last record; reads each record once and keeps none."""
+def monitor_reports(records: Iterable[StepRecord]) -> tuple[MonitorReports, StepRecord]:
+    """The three reports over a record stream, and its last record; reads each record once and keeps none.
+
+    Each energy report flags E(next) > E(curr) + 1e-10*(1 + |E(curr)|), maxp flags linf > pi + 1e-12."""
     first: dict[str, int] = {}
     worst = dict.fromkeys(MonitorReports._fields, 0.0)
     last = None
@@ -81,17 +82,6 @@ def _monitor_reports(records: Iterable[StepRecord]) -> tuple[MonitorReports, Ste
     if last is None:
         raise ValueError("records must be nonempty")
     return MonitorReports(*(MonitorReport(first.get(name), worst[name]) for name in MonitorReports._fields)), last
-
-
-def energy_monitor(records: Iterable[StepRecord], modified: bool = False) -> MonitorReport:
-    """Flag the first step with E(next) > E(curr) + 1e-10*(1 + |E(curr)|); the modified energy's if modified."""
-    reports = _monitor_reports(records)[0]
-    return reports.modified_energy if modified else reports.energy
-
-
-def max_principle_monitor(records: Iterable[StepRecord]) -> MonitorReport:
-    """Flag the first record with linf > pi + 1e-12."""
-    return _monitor_reports(records)[0].maxp
 
 
 @dataclass(frozen=True)
@@ -143,7 +133,7 @@ def stability_sweep(config: ExperimentConfig, tau_values: Sequence[float]) -> Sw
     def one(tau: float) -> tuple[MonitorReports, float]:
         steps = _advance(u0, config.model, config.scheme, tau, config.steps_for(tau),
                          record=True, split=workers < 2)
-        reports, last = _monitor_reports(row for _, _, row in steps)
+        reports, last = monitor_reports(row for _, row in steps)
         return reports, last.energy
 
     reports: list[MonitorReports | None] = [None] * len(taus)
@@ -197,7 +187,7 @@ def convergence_order(
     u0 = initial_field(config)
 
     def final_values(tau: float, n_steps: int) -> np.ndarray:
-        *_, (u, _, _) = _advance(u0, config.model, scheme, tau, n_steps)
+        *_, (u, _) = _advance(u0, config.model, scheme, tau, n_steps)
         return u.values.copy()  # the generator's buffer, valid only until it advances
 
     u_ref = final_values(tau_ref, step_counts[-1])

@@ -38,10 +38,13 @@ def _check_positive(name: str, value: float) -> None:
 
 
 def _check_kappa(kappa: float) -> None:
-    """_check_positive for kappa, which every operator and energy also squares."""
+    """_check_positive for kappa, which every operator and energy also squares.
+
+    kappa must also be a normal float: below that, x/kappa overflows and a steady state's x samples lose digits."""
     _check_positive("kappa", kappa)
-    if not float(kappa) * float(kappa) < np.inf:  # float ** raises OverflowError, numpy's * warns
-        raise ValueError(f"kappa must be finite and > 0 with kappa^2 finite, got {kappa}")
+    tiny = float(np.finfo(float).tiny)  # the smallest normal float64
+    if not (tiny <= kappa and float(kappa) * float(kappa) < np.inf):  # float ** raises OverflowError
+        raise ValueError(f"kappa must be finite and > 0 with kappa^2 finite and kappa >= {tiny!r}, got {kappa}")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ timestamps, so identical configs rerun to bitwise-identical outputs.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 from typing import Iterable
@@ -87,7 +88,7 @@ def read_snapshot(path) -> tuple[Field, float, float]:
     need(16, offset, "t/kappa header")
     t, kappa = struct.unpack_from("<dd", raw, offset)
     offset += 16
-    count = int(np.prod(sizes))
+    count = math.prod(sizes)  # a Python int: np.prod wraps in int64
     need(8 * count, offset, "payload")
     if len(raw) != offset + 8 * count:
         raise SnapshotFormatError(

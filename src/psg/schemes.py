@@ -111,8 +111,8 @@ def _splits(grid: TorusGrid) -> bool:
 
 
 def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, n_steps: int,
-             record: bool = False, split: bool = True) -> Iterator[tuple[Field, Field, StepRecord | None]]:
-    """Yield (u, u_prev, its StepRecord if record else None) after each of steps 1..n_steps.
+             record: bool = False, split: bool = True) -> Iterator[tuple[Field, StepRecord | None]]:
+    """Yield (u, its StepRecord if record else None) after each of steps 1..n_steps.
 
     Each step runs with numpy's overflow warnings silenced: a non-finite field or
     diagnostic raises NonFiniteError naming its step. The steps run in buffers this
@@ -150,7 +150,7 @@ def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, n_step
                     row = _record(model, tau, step, u, u_prev, gradient) if record else None
             except NonFiniteError as exc:
                 raise NonFiniteError(f"non-finite field values at step {step}") from exc
-            yield u, u_prev, row
+            yield u, row
 
 
 def run_steps(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float,
@@ -162,7 +162,7 @@ def run_steps(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float,
     the first bad step if any iterate or its diagnostics stop being finite.
     Deterministic given identical inputs.
     """
-    return ((u, row) for u, _, row in _advance(u0, model, scheme, tau, n_steps, record=True))
+    return _advance(u0, model, scheme, tau, n_steps, record=True)
 
 
 def run(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, n_steps: int) -> list[StepRecord]:

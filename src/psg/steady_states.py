@@ -120,7 +120,8 @@ def kink_eval(kappa: float, sign: int, c: float, x):
     """Separatrix profile sign * 2*arcsin(tanh(x/kappa + c)); values in (-pi, pi)."""
     _check_kink(kappa, sign, c)
     x = np.asarray(x, dtype=np.float64)
-    out = sign * 2.0 * np.arcsin(np.tanh(x / kappa + c))
+    with np.errstate(over="ignore"):  # tanh(+-inf) = +-1 is the exact limit
+        out = sign * 2.0 * np.arcsin(np.tanh(x / kappa + c))
     return float(out) if out.ndim == 0 else out
 
 
@@ -128,7 +129,8 @@ def kink_derivative(kappa: float, sign: int, c: float, x):
     """Closed-form derivative of kink_eval: sign * (2/kappa) * sech(x/kappa + c)."""
     _check_kink(kappa, sign, c)
     x = np.asarray(x, dtype=np.float64)
-    out = sign * 2.0 / (kappa * np.cosh(x / kappa + c))
+    with np.errstate(over="ignore"):  # 1/cosh(+-inf) = 0 is the exact limit
+        out = sign * 2.0 / (kappa * np.cosh(x / kappa + c))
     return float(out) if out.ndim == 0 else out
 
 

@@ -16,12 +16,11 @@ from psg import (
     build_periodic_orbit,
     convergence_order,
     energy,
-    energy_monitor,
     helmholtz_solve,
     initial_field,
     kink_eval,
     laplacian,
-    max_principle_monitor,
+    monitor_reports,
     read_snapshot,
     run,
     run_steps,
@@ -69,7 +68,7 @@ def test_criterion_1_energy_threshold_reproduction():
         cfg = reference_config(tau=tau)
         u0 = initial_field(cfg)
         records = run(u0, cfg.model, cfg.scheme, tau, cfg.step_count)
-        report = energy_monitor(records)
+        report = monitor_reports(records)[0].energy
         first_pair_ok = records[0].energy <= energy(cfg.model, u0) + 1e-10 * (1 + abs(energy(cfg.model, u0)))
         outcomes[tau] = (report.violated, first_pair_ok)
     ok = (
@@ -89,7 +88,7 @@ def test_criterion_2_discrete_maximum_principle():
         model = ModelSpec(SG, kappa)
         for tau in (0.25, 0.5, 1.0):
             records = run(u0, model, SchemeKind.IMEX1, tau, 200)
-            report = max_principle_monitor(records)
+            report = monitor_reports(records)[0].maxp
             clean &= not report.violated
             worst = max(worst, max(r.linf for r in records) - np.pi)
     verdict("criterion 2 (discrete maximum principle)", clean,
@@ -104,7 +103,7 @@ def test_criterion_3_bdf2_modified_energy():
         model = ModelSpec(SG, kappa)
         for tau in (0.1, 0.5):
             records = run(u0, model, SchemeKind.BDF2, tau, 200)
-            report = energy_monitor(records, modified=True)
+            report = monitor_reports(records)[0].modified_energy
             clean &= not report.violated
             worst = max(worst, report.worst_excess)
     verdict("criterion 3 (bdf2 modified-energy dissipation)", clean,
@@ -226,8 +225,8 @@ def test_criterion_8_2d_qualitative_reproduction(tmp_path):
 
     records_sg, snaps_sg = simulate(SG, "pi_sin_sin")
     records_ac, snaps_ac = simulate(AC, "sin_sin")
-    sg_monotone = not energy_monitor(records_sg, modified=True).violated
-    ac_monotone = not energy_monitor(records_ac, modified=True).violated
+    sg_monotone = not monitor_reports(records_sg)[0].modified_energy.violated
+    ac_monotone = not monitor_reports(records_ac)[0].modified_energy.violated
 
     # Both exact solutions vanish on the nodal lines x, y in {-pi, 0}; there the computed
     # signs are roundoff's, so points where either field is within 1e-12 of 0 are not counted.

@@ -295,6 +295,19 @@ class TestSteadyCommand:
                   if line.startswith("residual:")]
         assert float(res) <= 1e-10  # nan fails too
 
+    def test_negative_periodic_profile(self, tmp_path, capsys):
+        profiles = {}
+        for sign in "+-":
+            out = tmp_path / sign
+            assert main(["steady", "--case", "periodic", "--kappa", "0.5", "--C", "0.3", "--sign", sign,
+                         "--out", str(out)]) == 0
+            rows = [line.split(",") for line in (out / "profile.csv").read_text().splitlines()[1:]]
+            profiles[sign] = np.array(rows, dtype=float)
+        printed_plus, printed_minus = capsys.readouterr().out.split("classification:")[1:]
+        assert printed_plus == printed_minus  # the same orbit, period and residual
+        assert np.array_equal(profiles["-"][:, 0], profiles["+"][:, 0])
+        assert np.array_equal(profiles["-"][:, 1], -profiles["+"][:, 1])
+
     def test_kink_profile(self, tmp_path, capsys):
         out = tmp_path / "k"
         assert main(["steady", "--case", "kink", "--kappa", "0.5", "--c", "0", "--sign", "+", "--out", str(out)]) == 0
@@ -338,6 +351,11 @@ class TestPotentialTable:
         out = tmp_path / "table.csv"
         assert main(["potential-table", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1026
+
+
+def test_subcommand_help_exits_0(capsys):
+    assert main(["run", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: psg run ")
 
 
 def test_module_entry_point():
@@ -427,6 +445,29 @@ def test_kappa_with_overflowing_square_rejected(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path / "x")]) == 1
     printed = capsys.readouterr()
     assert printed.err.startswith("error: kappa must be finite and > 0") and printed.err.count("\n") == 1
+    assert printed.out == ""
+    assert not (tmp_path / "x").exists()
+
+
+SUBNORMAL_KAPPA = {
+    "run": _run_argv(kappa="1e-310"),
+    "sweep": ["sweep", "--model", "sg", "--scheme", "imex1", "--dim", "1", "--kappa", "1e-310",
+              "--n", "16", "--tfinal", "1", "--init", "pi_sin", "--tau-list", "0.1,0.5"],
+    "steady-kink": ["steady", "--case", "kink", "--kappa", "1e-310"],
+    "steady-periodic": ["steady", "--case", "periodic", "--C", "0.5", "--kappa", "1e-320"],
+    "steady-zero": ["steady", "--case", "zero", "--kappa", "5e-324"],
+}
+
+
+@pytest.mark.parametrize("argv", list(SUBNORMAL_KAPPA.values()), ids=list(SUBNORMAL_KAPPA))
+def test_subnormal_kappa_rejected(argv, tmp_path, capsys):
+    # psg steady's kink overflowed x/kappa with a numpy warning, and its periodic orbit at 1e-320 had
+    # subnormal x samples, quantized to a few digits, and printed a residual of 0.67 for the exact orbit
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 1
+    printed = capsys.readouterr()
+    kappa = float(argv[argv.index("--kappa") + 1])
+    assert printed.err == ("error: kappa must be finite and > 0 with kappa^2 finite and "
+                           f"kappa >= 2.2250738585072014e-308, got {kappa!r}\n")
     assert printed.out == ""
     assert not (tmp_path / "x").exists()
 

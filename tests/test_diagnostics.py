@@ -17,15 +17,13 @@ from psg import (
     StepRecord,
     TorusGrid,
     convergence_order,
-    energy_monitor,
     fit_order,
     helmholtz_solve,
     initial_field,
-    max_principle_monitor,
+    monitor_reports,
     run,
     stability_sweep,
 )
-from psg.diagnostics import _monitor_reports
 from conftest import traced_peak
 
 
@@ -52,12 +50,12 @@ def demo_config(**overrides):
 class TestEnergyMonitor:
     def test_monotone_series_clean(self):
         records = [record(i, 5.0 - i) for i in range(1, 6)]
-        report = energy_monitor(records)
+        report = monitor_reports(records)[0].energy
         assert report == MonitorReport(None, 0.0)
 
     def test_flags_first_increase(self):
         records = [record(1, 3.0), record(2, 2.0), record(3, 2.5), record(4, 1.0), record(5, 4.0)]
-        report = energy_monitor(records)
+        report = monitor_reports(records)[0].energy
         assert report.violated
         assert report.first_violation_step == 3
         assert report.worst_excess == pytest.approx(3.0 - 1e-10 * 2.0, rel=1e-9)
@@ -65,29 +63,28 @@ class TestEnergyMonitor:
     def test_relative_slack_absorbs_roundoff(self):
         base = 1e6
         records = [record(1, base), record(2, base + 1e-6)]
-        assert not energy_monitor(records).violated  # slack = 1e-10 * (1 + 1e6) ~ 1e-4
-        assert energy_monitor([record(1, base), record(2, base + 1e-3)]).violated
+        assert not monitor_reports(records)[0].energy.violated  # slack = 1e-10 * (1 + 1e6) ~ 1e-4
+        assert monitor_reports([record(1, base), record(2, base + 1e-3)])[0].energy.violated
 
     def test_modified_column(self):
         records = [record(1, 9.0, modified=3.0), record(2, 0.0, modified=2.0), record(3, 0.0, modified=2.5)]
-        report = energy_monitor(records, modified=True)
+        report = monitor_reports(records)[0].modified_energy
         assert report.first_violation_step == 3
 
     def test_missing_modified_rejected(self):
-        for modified in (False, True):
-            for empty in ([], iter(())):  # an empty list, or an empty stream
-                with pytest.raises(ValueError, match="^records must be nonempty$"):
-                    energy_monitor(empty, modified=modified)
+        for empty in ([], iter(())):  # an empty list, or an empty stream
+            with pytest.raises(ValueError, match="^records must be nonempty$"):
+                monitor_reports(empty)
 
 
 class TestMaxPrincipleMonitor:
     def test_boundary_value_is_clean(self):
         records = [record(i, 0.0, linf=np.pi) for i in range(1, 4)]
-        assert not max_principle_monitor(records).violated
+        assert not monitor_reports(records)[0].maxp.violated
 
     def test_flags_excess(self):
         records = [record(0, 0.0, linf=np.pi + 0.5), record(1, 0.0, linf=1.0)]
-        report = max_principle_monitor(records)
+        report = monitor_reports(records)[0].maxp
         assert report.violated and report.first_violation_step == 0
         assert report.worst_excess == pytest.approx(0.5, abs=1e-9)
 
@@ -130,11 +127,9 @@ class TestMonitorFold:
                    for i, (e, m, (_, _, linf)) in enumerate(zip(energies, modified, steps))]
         expected = _three_passes(records)
         # a generator, which the three passes could not take (they index records[1:])
-        reports, last = _monitor_reports(rec for rec in records)
+        reports, last = monitor_reports(rec for rec in records)
         assert reports == expected and last is records[-1]
-        assert energy_monitor(iter(records)) == expected.energy
-        assert energy_monitor(iter(records), modified=True) == expected.modified_energy
-        assert max_principle_monitor(iter(records)) == expected.maxp
+        assert monitor_reports(records) == (expected, records[-1])  # and the list itself
 
 
 class TestStabilitySweep:
@@ -153,8 +148,7 @@ class TestStabilitySweep:
         config = demo_config(t_final=10.0, tau=0.5)
         sweep = stability_sweep(config, [0.5])
         records = run(initial_field(config), config.model, config.scheme, 0.5, config.step_count)
-        assert sweep.reports[0][0] == energy_monitor(records)
-        assert sweep.reports[0][2] == max_principle_monitor(records)
+        assert sweep.reports[0] == monitor_reports(records)[0]
         assert sweep.final_energies[0] == records[-1].energy
         # tau = 0.5 satisfies both guarantees: clean across the board
         assert not sweep.reports[0][0].violated
@@ -162,8 +156,7 @@ class TestStabilitySweep:
 
     def test_monitors_are_pure(self):
         records = [record(1, 3.0, linf=1.0), record(2, 3.5, linf=4.0)]
-        assert energy_monitor(records) == energy_monitor(records)
-        assert max_principle_monitor(records) == max_principle_monitor(records)
+        assert monitor_reports(records) == monitor_reports(records)
 
     def test_parallelism_does_not_change_results(self):
         # Members run concurrently on the pool; each equals its standalone run.
@@ -173,8 +166,7 @@ class TestStabilitySweep:
         u0 = initial_field(config)
         for tau, reports, final_energy in zip(taus, sweep.reports, sweep.final_energies):
             records = run(u0, config.model, config.scheme, tau, round(10.0 / tau))
-            assert reports == (energy_monitor(records), energy_monitor(records, modified=True),
-                               max_principle_monitor(records))
+            assert reports == monitor_reports(records)[0]
             assert final_energy == records[-1].energy
 
     def test_error_isolated_per_tau(self):

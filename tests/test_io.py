@@ -23,6 +23,7 @@ from psg import (
     write_snapshot,
     write_sweep_csv,
 )
+from psg.cli import main
 from conftest import random_smooth_field
 
 
@@ -83,6 +84,21 @@ class TestSnapshots:
         path.write_bytes(raw[:-16])
         with pytest.raises(SnapshotFormatError, match="truncated payload"):
             read_snapshot(path)
+
+    @pytest.mark.parametrize("n", [3037000500, 4294967295])  # the smallest and largest n whose n^2 wraps in int64
+    def test_huge_axis_size_is_truncated_payload(self, n, tmp_path, capsys):
+        # The payload size n^2 wrapped negative, and a header without payload was reported as
+        # "trailing bytes after payload at offset -68719476696: file has 32"
+        path = tmp_path / "huge.psg"
+        path.write_bytes(b"PSG1" + struct.pack("<HHII", 1, 2, n, n) + struct.pack("<dd", 0.0, 1.0))
+        message = f"truncated payload at offset 32: need {8 * n * n} bytes, have 0"
+        with pytest.raises(SnapshotFormatError, match=f"^{message}$"):
+            read_snapshot(path)
+        argv = ["run", "--model", "sg", "--scheme", "imex1", "--dim", "2", "--kappa", "0.1", "--tau", "0.1",
+                "--n", "16", "--steps", "1", "--init", str(path), "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
 
     def test_trailing_bytes(self, tmp_path, rng):
         field = random_smooth_field(TorusGrid(1, 64), rng)

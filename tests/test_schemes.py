@@ -20,10 +20,9 @@ from psg import (
     SchemeKind,
     TorusGrid,
     energy,
-    energy_monitor,
     helmholtz_solve,
-    max_principle_monitor,
     modified_energy,
+    monitor_reports,
     nonlinearity,
     run,
     run_steps,
@@ -190,7 +189,7 @@ class TestGuarantees:
             for tau in (0.25, 0.5, 1.0):
                 u0 = random_smooth_field(grid, rng, target_linf=np.pi)
                 records = run(u0, model, SchemeKind.IMEX1, tau, 60)
-                report = max_principle_monitor(records)
+                report = monitor_reports(records)[0].maxp
                 assert not report.violated, f"kappa={kappa} tau={tau}: {report}"
 
     def test_imex_energy_dissipation_up_to_tau_two(self, rng):
@@ -199,7 +198,7 @@ class TestGuarantees:
             for _ in range(5):
                 u0 = random_smooth_field(grid, rng, target_linf=rng.uniform(0.5, 1.0) * np.pi)
                 records = run(u0, SG, SchemeKind.IMEX1, tau, 50)
-                assert not energy_monitor(records).violated
+                assert not monitor_reports(records)[0].energy.violated
                 # the u0 -> u1 comparison is not in the series; check it directly
                 assert records[0].energy <= energy(SG, u0) + 1e-10 * (1 + abs(energy(SG, u0)))
 
@@ -209,7 +208,7 @@ class TestGuarantees:
             for _ in range(5):
                 u0 = random_smooth_field(grid, rng, target_linf=rng.uniform(0.5, 1.0) * np.pi)
                 records = run(u0, SG, SchemeKind.BDF2, tau, 50)
-                assert not energy_monitor(records, modified=True).violated
+                assert not monitor_reports(records)[0].modified_energy.violated
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -222,7 +221,7 @@ class TestGuarantees:
         """bdf2 dissipates E + ||u_n - u_{n-1}||^2/(4 tau) for tau <= 1/2 and any |u0| <= pi."""
         u0 = trig_poly_field(TorusGrid(1, 32), coeffs, amplitude)
         records = run(u0, ModelSpec(ModelKind.SINE_GORDON, kappa), SchemeKind.BDF2, tau, 50)
-        assert not energy_monitor(records, modified=True).violated
+        assert not monitor_reports(records)[0].modified_energy.violated
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -242,7 +241,7 @@ class TestGuarantees:
         u0 = Field(grid, smooth + noise * np.random.default_rng(seed).uniform(-1.0, 1.0, grid.shape))
         model = ModelSpec(ModelKind.SINE_GORDON, kappa)
         records = run(u0, model, SchemeKind.IMEX1, tau, 60)
-        assert not energy_monitor(records).violated
+        assert not monitor_reports(records)[0].energy.violated
         # the u0 -> u1 comparison is not in the series; check it directly
         assert records[0].energy <= energy(model, u0) + 1e-10 * (1 + abs(energy(model, u0)))
 
@@ -261,7 +260,7 @@ class TestGuarantees:
         kappa = 5 * grid.spacing + kappa_frac * (1.0 - 5 * grid.spacing)
         u0 = trig_poly_field(grid, coeffs, amplitude)
         records = run(u0, ModelSpec(ModelKind.SINE_GORDON, kappa), SchemeKind.IMEX1, tau, 40)
-        assert not max_principle_monitor(records).violated
+        assert not monitor_reports(records)[0].maxp.violated
 
     def test_max_principle_fails_on_unresolved_kinks(self):
         # The discrete resolvent 1/(1 + tau*kappa^2*|k|^2) is not positivity-preserving: at
@@ -269,7 +268,7 @@ class TestGuarantees:
         # and the iterates overshoot pi.
         u0 = Field.from_function(TorusGrid(1, 32), lambda x: np.sin(3 * x))
         records = run(u0, ModelSpec(ModelKind.SINE_GORDON, 0.0625), SchemeKind.IMEX1, 1.0, 10)
-        report = max_principle_monitor(records)
+        report = monitor_reports(records)[0].maxp
         assert report.first_violation_step == 4
         assert report.worst_excess > 1e-2
 
@@ -310,7 +309,7 @@ class TestRun:
         records = run(u0, SG, SchemeKind.BDF2, tau, 15)
         steps = psg.schemes._advance(u0, SG, SchemeKind.BDF2, tau, 15)
         prev, curr = None, u0.values
-        for record, (u, u_prev, row) in zip(records, steps, strict=True):  # u is valid only inside the loop
+        for record, (u, row) in zip(records, steps, strict=True):  # u is valid only inside the loop
             if prev is None:  # the imex1 kick-start
                 rhs, a = curr + tau * f(curr), 1.0
             else:
@@ -321,7 +320,7 @@ class TestRun:
             assert np.array_equal(solved.values, u.values)
             assert record.energy == psg.models._energy(SG, u, gradient)
             assert record.energy == pytest.approx(energy(SG, u), rel=1e-12)
-            assert record.modified_energy == pytest.approx(modified_energy(SG, u, u_prev, tau), rel=1e-12)
+            assert record.modified_energy == pytest.approx(modified_energy(SG, u, Field(grid, curr), tau), rel=1e-12)
             assert record.linf == u.linf()
             prev, curr = curr, u.values.copy()
         assert len(records) == 15
@@ -419,12 +418,13 @@ class TestRun:
         try:
             start = tracemalloc.get_traced_memory()[0]
             steps = psg.schemes._advance(u0, SG, scheme, 0.1, 3)
-            for _ in range(3):
-                u, u_prev, _ = next(steps)
+            yielded = [next(steps)[0].values for _ in range(3)]
             held = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
-        assert u_prev is not u0  # past step 1, both yielded fields are ring slots
+        # the steps alternate between the two ring slots; u0 stays outside them
+        assert yielded[0] is yielded[2] and yielded[1] is not yielded[0]
+        assert all(values is not u0.values for values in yielded)
         assert held <= fields * 8 * grid.size
 
     @pytest.mark.parametrize("model", [SG, AC], ids=["sg", "ac"])
@@ -470,13 +470,13 @@ class TestSplitSteps:
 
     @staticmethod
     def stream(u0, model, scheme, record, cores, monkeypatch, n_steps=5):
-        """Copies of each (u, u_prev, record) _advance yields, as on a host with the given cores."""
+        """Copies of each (u, record) _advance yields, as on a host with the given cores."""
         monkeypatch.setattr(psg.schemes, "_cores", lambda: cores)
         baseline = threading.active_count()
         yielded = []
-        for u, u_prev, row in psg.schemes._advance(u0, model, scheme, 0.05, n_steps, record=record):
+        for u, row in psg.schemes._advance(u0, model, scheme, 0.05, n_steps, record=record):
             assert threading.active_count() == baseline + (cores > 1)  # the run's one helper, if it splits
-            yielded.append((u.values.tobytes(), u_prev.values.tobytes(), repr(row)))
+            yielded.append((u.values.tobytes(), repr(row)))
         return yielded
 
     @pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])
@@ -487,6 +487,13 @@ class TestSplitSteps:
         u0 = random_smooth_field(TorusGrid(2, n), rng, target_linf=3.0)
         split = self.stream(u0, model, scheme, record, 2, monkeypatch)
         assert split == self.stream(u0, model, scheme, record, 1, monkeypatch)
+
+    def test_cores_without_affinity(self, monkeypatch):
+        # where the platform has no affinity mask, the machine's count (or 1 when unknown)
+        monkeypatch.delattr(psg.schemes.os, "sched_getaffinity", raising=False)
+        for count, cores in ((3, 3), (None, 1)):
+            monkeypatch.setattr(psg.schemes.os, "cpu_count", lambda: count)
+            assert psg.schemes._cores() == cores
 
     def test_small_and_1d_grids_do_not_split(self, monkeypatch):
         monkeypatch.setattr(psg.schemes, "_cores", lambda: 2)

@@ -129,6 +129,22 @@ class TestKink:
         with pytest.raises(ValueError):
             kink_eval(1.0, 2, 0.0, 1.0)
 
+    def test_overflowing_argument_takes_exact_limits(self):
+        # x/kappa overflows to +-inf: cosh warned of the overflow (an error under pytest); tanh(+-inf) = +-1
+        # and 1/cosh(+-inf) = 0 are the exact limits
+        assert kink_derivative(1e-200, 1, 0.0, np.pi) == 0.0
+        x = np.array([-1e10, 0.0, 1e10])  # 1e10/1e-300 overflows
+        assert np.array_equal(kink_eval(1e-300, 1, 0.0, x), [-np.pi, 0.0, np.pi])
+        assert np.array_equal(kink_derivative(1e-300, -1, 0.0, x), [0.0, -2.0 / 1e-300, 0.0])
+
+    @pytest.mark.parametrize("kappa", [1e-310, 5e-324])
+    def test_subnormal_kappa_rejected(self, kappa):
+        # x/kappa overflowed in the divide for |x| ~ pi, and a subnormal kappa has too few digits
+        message = rf"^kappa must be .* kappa >= 2\.2250738585072014e-308, got {kappa!r}$"
+        for build in (lambda: kink_eval(kappa, 1, 0.0, np.pi), lambda: build_periodic_orbit(0.5, kappa)):
+            with pytest.raises(ValueError, match=message):
+                build()
+
     def test_derivative_rejects_non_finite_shift(self):
         x = np.linspace(-1.0, 1.0, 5)
         for c in (np.nan, np.inf):
@@ -229,6 +245,15 @@ class TestPeriodicOrbit:
         with pytest.raises(RegimeError):
             build_periodic_orbit(1.0, 0.5)
 
+    def test_too_few_samples_rejected(self):
+        with pytest.raises(ValueError, match="^samples must be >= 5, got 4$"):
+            build_periodic_orbit(0.0, 0.5, samples=4)
+
+    def test_smallest_normal_kappa(self):
+        # the x samples are normal floats: the residual is as at kappa = 0.5 (1e-320 gave 0.67)
+        orbit = build_periodic_orbit(0.5, float(np.finfo(float).tiny))
+        assert orbit.residual_max() <= 1e-10
+
     def test_full_profile_even_about_origin(self):
         orbit = build_periodic_orbit(0.3, 0.5)
         x, u = orbit.full_profile()
@@ -260,6 +285,8 @@ class TestSteadyStateCase:
             SteadyStateCase(Regime.NO_BOUNDED, 1.5, 0.5)
         with pytest.raises(TypeError):
             SteadyStateCase(Regime.PERIODIC, 0.0, 0.5, amplitude=1.0)
+        with pytest.raises(RegimeError, match="^constant \\+-pi requires C = 1, got C = 0.5$"):
+            SteadyStateCase(Regime.CONSTANT_PI, 0.5, 0.5)
 
 
 class TestReflectExtend:
@@ -287,6 +314,17 @@ class TestReflectExtend:
         x = np.linspace(0.0, 1.0, 11)
         with pytest.raises(ReflectionError):
             reflect_extend(x, 0.1 + 0.0 * x, Reflection.ODD)
+
+    def test_shapes_checked(self):
+        x = np.linspace(0.0, 1.0, 11)
+        for xs, us in ((x, x[:-1]), (x[:4], x[:4]), (np.zeros((2, 6)), np.zeros((2, 6)))):
+            with pytest.raises(ValueError, match="^x and u must be equal-length 1D arrays with >= 5 samples$"):
+                reflect_extend(xs, us, Reflection.ODD)
+
+    def test_unknown_mode_rejected(self):
+        x = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(ValueError, match="^unknown reflection mode 'odd'$"):
+            reflect_extend(x, 0.0 * x, "odd")  # the enum's value, not the enum
 
     @pytest.mark.parametrize("mode", list(Reflection), ids=lambda m: m.value)
     def test_nan_samples_rejected(self, mode):
@@ -325,6 +363,8 @@ class TestResidual:
     def test_2d_field_rejected(self):
         with pytest.raises(ValueError):
             residual(Field.zeros(TorusGrid(2, 8)), 0.5)
+        with pytest.raises(ValueError, match="^residual expects 1D samples$"):
+            residual(np.zeros((8, 8)), 0.5, spacing=0.1)
 
     def test_symmetry_family_preserves_residual(self):
         # u(. + x0) + 2*pi*m solves the same equation; the window residual
