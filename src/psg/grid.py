@@ -11,6 +11,7 @@ physical space by the callers.
 from __future__ import annotations
 
 import contextvars
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -173,7 +174,8 @@ def _apply_multiplier(grid: TorusGrid, values, mult: np.ndarray, spec=None, out=
                       helper=None) -> tuple[Field, float | None]:
     """values times mult (in out if given), and with gradient=True the result's -integral(v * Lap v) by Parseval.
 
-    values is an array, or a function of a row range that forms those rows of the input and returns them.
+    values is an array, or a function of a row range that forms those rows of the input and returns them;
+    until the row stage's rfft writes spec's rows of that range, the function may use them as scratch.
     The solve runs in three stages, each over rows or columns of its own: rows (values, then rfft along the
     last axis), columns of the half spectrum (fft along axis 0, times mult, ifft) and rows (irfft). Given a
     helper (an executor with one worker), each stage of a 2D solve runs over two halves, the second on the
@@ -190,7 +192,7 @@ def _apply_multiplier(grid: TorusGrid, values, mult: np.ndarray, spec=None, out=
     _each(helper, rows, lambda r: np.fft.rfft(rows_of(r), axis=-1, out=spec[r]))
     # the Parseval terms go in out, free from the row stage's end until the inverse: one buffer of the half
     # spectrum's shape, which each column part fills in its columns and which is summed whole
-    power = out.reshape(-1)[:spec.size].reshape(spec.shape) if gradient else None
+    power = _block(out, spec.shape) if gradient else None
     _each(helper, cols, lambda c: _scale_columns(grid, spec, mult, power, c))
     total = None if power is None else float(power.sum()) * grid.spacing**grid.dim / grid.size
     _each(helper, rows, lambda r: np.fft.irfft(spec[r], n=grid.n_per_axis, axis=-1, out=out[r]))
@@ -210,6 +212,11 @@ def _scale_columns(grid: TorusGrid, spec: np.ndarray, mult: np.ndarray, power, c
         terms *= grid._rfft_wk2[cols]
     if grid.dim == 2:
         np.fft.ifft(part, axis=0, out=part)
+
+
+def _block(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The first math.prod(shape) float64 values of the contiguous array buf, as one contiguous array of that shape."""
+    return buf.view(np.float64).reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
 def _halves(n: int) -> tuple[slice, slice]:
@@ -257,14 +264,16 @@ def helmholtz_solve(rhs: Field, kappa: float, a: float, b: float) -> Field:
     return _apply_multiplier(rhs.grid, rhs.values, _helmholtz_multiplier(rhs.grid, kappa, a, b))[0]
 
 
-def _helmholtz_multiplier(grid: TorusGrid, kappa: float, a: float, b: float) -> np.ndarray:
-    """1/(a + b*kappa^2*|k|^2) in the rfft layout: the multiplier helmholtz_solve applies."""
+def _helmholtz_multiplier(grid: TorusGrid, kappa: float, a: float, b: float, out=None) -> np.ndarray:
+    """1/(a + b*kappa^2*|k|^2) in the rfft layout (in out if given): the multiplier helmholtz_solve applies."""
     _check_positive("a", a)  # a = 0 is not invertible on constants
     if not 0.0 <= b < np.inf:
         raise ValueError(f"b must be finite and >= 0, got {b}")
     _check_kappa(kappa)
     with np.errstate(over="ignore", invalid="ignore"):  # where b*kappa^2*|k|^2 overflows, the mode gets 0
-        mult = 1.0 / (a + b * kappa**2 * grid._rfft_k2)
+        mult = np.multiply(b * kappa**2, grid._rfft_k2, out=out)
+        mult += a
+        np.divide(1.0, mult, out=mult)
     mult.flat[0] = 1.0 / a  # k = 0: 1/(a + b*kappa^2*0) is exactly 1/a, but inf * 0 is NaN
     return mult
 

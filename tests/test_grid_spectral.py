@@ -210,6 +210,14 @@ class TestHelmholtz:
             expected = 1.0 / (a + b * kappa**2 * grid._rfft_k2)
             assert np.array_equal(_helmholtz_multiplier(grid, kappa, a, b), expected)
 
+    def test_multiplier_in_a_given_buffer_bitwise(self):
+        # a run refills one buffer: overflowing modes (damped to 0) and the mean mode included
+        buf = np.full(TorusGrid(2, 16)._rfft_k2.shape, np.nan)
+        for kappa, a, b in ((0.2, 1.5, 0.01), (1e150, 1.0, 1e10), (1e150, 1.5, 1e-301), (0.5, 2.0, 0.0)):
+            expected = _helmholtz_multiplier(TorusGrid(2, 16), kappa, a, b)
+            assert _helmholtz_multiplier(TorusGrid(2, 16), kappa, a, b, out=buf) is buf
+            assert buf.tobytes() == expected.tobytes()
+
     def test_constants_fixed_for_unit_a(self):
         f = Field.constant(TorusGrid(1, 32), 1.0)
         g = helmholtz_solve(f, kappa=0.7, a=1.0, b=0.3)

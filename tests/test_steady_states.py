@@ -387,3 +387,38 @@ class TestResidual:
         model = ModelSpec(ModelKind.SINE_GORDON, 0.5)
         *_, (final, _) = run_steps(u0, model, SchemeKind.IMEX1, 0.5, 400)  # the last field: no step overwrites it
         assert residual(final, model.kappa) <= 1e-6
+
+
+class TestSteppersKeepSteadyStates:
+    """Steady states of the PDE on the torus are fixed points of both schemes, to their residual."""
+
+    @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
+    @pytest.mark.parametrize("C", [-0.5, 0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_periodic_orbit_is_a_fixed_point(self, n, C, scheme):
+        # kappa = 2*pi/(4*K(m)) makes the period 2*pi, so n//2 + 1 half-period samples
+        # give one period on the torus nodes; kappa/h is 5.5-38 here. Two steps: bdf2's
+        # second is its own, after the imex1 kick-start. Measured: each moves the orbit by
+        # at most 1.8e-14, against residuals of at least 1e-13.
+        K = build_periodic_orbit(C, 1.0).period / 4
+        kappa = 2 * np.pi / (4 * K)
+        orbit = build_periodic_orbit(C, kappa, samples=n // 2 + 1)
+        grid = TorusGrid(1, n)
+        x, u = orbit.periodic_samples()
+        assert np.max(np.abs(x - grid.nodes)) <= 1e-13
+        model = ModelSpec(ModelKind.SINE_GORDON, kappa)
+        for tau in (0.1, 1.0, 2.0):
+            for stepped, _ in run_steps(Field(grid, u), model, scheme, tau, 2):
+                assert np.max(np.abs(stepped.values - u)) <= orbit.residual_max()
+
+    @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
+    @pytest.mark.parametrize("value", [0.0, np.pi, -np.pi])
+    @pytest.mark.parametrize("grid", [TorusGrid(1, 64), TorusGrid(2, 32)], ids=["1d", "2d"])
+    def test_constants_do_not_move(self, grid, value, scheme):
+        # sin(0) = 0 exactly, and sin(+-pi) = +-1.2e-16 rounds away in u + tau*f(u) for tau <= 1.
+        # At tau = 2, beyond bdf2's tau <= 1/2 guarantee, +-pi moves by 1 ulp under imex1 and
+        # by 328 ulps under bdf2 over 10 steps; this is not pinned.
+        model = ModelSpec(ModelKind.SINE_GORDON, 0.5)
+        for tau in (0.1, 1.0):
+            for stepped, _ in run_steps(Field.constant(grid, value), model, scheme, tau, 10):
+                assert np.all(stepped.values == value)
