@@ -130,23 +130,18 @@ def stability_sweep(config: ExperimentConfig, tau_values: Sequence[float]) -> Sw
 
     workers = min(_cores(), len(taus))
 
-    def one(tau: float) -> tuple[MonitorReports, float]:
-        steps = _advance(u0, config.model, config.scheme, tau, config.steps_for(tau),
-                         record=True, split=workers < 2)
-        reports, last = monitor_reports(row for _, row in steps)
-        return reports, last.energy
+    def one(tau: float) -> tuple[MonitorReports | None, float, str | None]:
+        try:
+            steps = _advance(u0, config.model, config.scheme, tau, config.steps_for(tau),
+                             record=True, split=workers < 2)
+            reports, last = monitor_reports(row for _, row in steps)
+        except Exception as exc:  # recorded per tau, others keep running
+            return None, float("nan"), f"{type(exc).__name__}: {exc}"
+        return reports, last.energy, None
 
-    reports: list[MonitorReports | None] = [None] * len(taus)
-    energies = [float("nan")] * len(taus)
-    errors: list[str | None] = [None] * len(taus)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(one, tau) for tau in taus]
-        for i, future in enumerate(futures):
-            try:
-                reports[i], energies[i] = future.result()
-            except Exception as exc:  # recorded per tau, others keep running
-                errors[i] = f"{type(exc).__name__}: {exc}"
-    return SweepResult(taus, tuple(reports), tuple(energies), tuple(errors))
+        reports, energies, errors = zip(*pool.map(one, taus))
+    return SweepResult(taus, reports, energies, errors)
 
 
 def fit_order(taus: Sequence[float], errors: Sequence[float]) -> float:

@@ -54,42 +54,41 @@ class StepRecord:
         return max(abs(self.u_min), abs(self.u_max))
 
 
-def _imex1_kernel(u: Field, model: ModelSpec, tau: float, mult: np.ndarray,
-                  f, spec, out, gradient: bool, helper) -> tuple[Field, float | None]:
-    """One imex1 step from u (mult has a=1) in the given buffers, f may be out; returns as _apply_multiplier."""
-    def assemble(rows):  # u + tau*f(u) in the solve's row stage, summed in out
-        v, f_r, rhs_r = u.values[rows], f[rows], out[rows]
+def _imex1_rhs(model: ModelSpec, tau: float, u: np.ndarray, f: np.ndarray, out: np.ndarray):
+    """imex1's right-hand side u + tau*f(u) as _apply_multiplier's row function: f(u) in f (may be out), sum in out."""
+    def rows_of(rows):
+        v, f_r, rhs_r = u[rows], f[rows], out[rows]
         _reaction(model.kind, v, out=f_r)
         np.multiply(tau, f_r, out=rhs_r)
         return np.add(v, rhs_r, out=rhs_r)
-    return _apply_multiplier(u.grid, assemble, mult, spec, out, gradient, helper)
+    return rows_of
 
 
-def _bdf2_kernel(model: ModelSpec, tau: float, u: Field, u_prev: Field, f_old: np.ndarray, mult: np.ndarray,
-                 f, spec, out, gradient: bool, helper) -> tuple[Field, float | None]:
-    """One bdf2 step (mult has a=3/2; f_old holds f(u_prev)), as _imex1_kernel; out may be u_prev's array.
+def _bdf2_rhs(model: ModelSpec, tau: float, u: np.ndarray, u_prev: np.ndarray, f_prev: np.ndarray,
+              f: np.ndarray, spec: np.ndarray, out: np.ndarray):
+    """bdf2's right-hand side 2u - u_prev/2 + tau*(2f(u) - f(u_prev)), as _imex1_rhs.
 
-    The right-hand side is summed in out, whose rows are read as u_prev before they are written, and
-    its reaction term in a block of those rows of spec, which their rfft overwrites next.
+    f_prev holds f(u_prev). out may be u_prev: each row range of it is read before it is written. The
+    reaction term is formed in a block of those rows of spec, which their rfft overwrites next.
     """
-    def assemble(rows):  # 2u - u_prev/2 + tau*(2f(u) - f(u_prev)) in the solve's row stage
-        v, f_r, rhs_r = u.values[rows], f[rows], out[rows]
+    def rows_of(rows):
+        v, f_r, rhs_r = u[rows], f[rows], out[rows]
         term = _block(spec[rows], v.shape)
         _reaction(model.kind, v, out=f_r)
-        np.multiply(0.5, u_prev.values[rows], out=rhs_r)
+        np.multiply(0.5, u_prev[rows], out=rhs_r)
         np.multiply(2.0, v, out=term)
         np.subtract(term, rhs_r, out=rhs_r)
         np.multiply(2.0, f_r, out=term)
-        np.subtract(term, f_old[rows], out=term)
+        np.subtract(term, f_prev[rows], out=term)
         np.multiply(tau, term, out=term)
         return np.add(rhs_r, term, out=rhs_r)
-    return _apply_multiplier(u.grid, assemble, mult, spec, out, gradient, helper)
+    return rows_of
 
 
 def _record(model: ModelSpec, tau: float, step: int, u: Field, u_prev: Field, gradient: float,
             scratch: np.ndarray) -> StepRecord:
-    """The StepRecord of u, its sums formed in the field-sized scratch, which may be u_prev's array."""
-    increment = _increment_energy(u, u_prev, tau, scratch)  # first: it reads u_prev
+    """The StepRecord of u, its sums formed in the field-sized scratch."""
+    increment = _increment_energy(u, u_prev, tau, scratch)
     e = _energy(model, u, gradient, scratch)
     return StepRecord(
         step_index=step,
@@ -136,33 +135,31 @@ def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, n_step
     g, bdf2 = u0.grid, scheme is SchemeKind.BDF2
     u, u_prev = u0, None
     # Step s writes ring[s % 2]: never u's slot; for bdf2 it is u_prev's, which
-    # _bdf2_kernel reads before it writes there (u0 stays outside the ring).
+    # _bdf2_rhs reads before it writes there (u0 stays outside the ring).
     ring = [np.empty(g.shape) for _ in range(2)]
     # bdf2 carries f(u) to the next step in fs[s % 2]; imex1 forms f in its output slot
     fs = [np.empty(g.shape) for _ in range(2)] if bdf2 else None
-    # step s's record forms its sums in the slot step s + 1 writes next: the f slot that held
-    # f(u_prev) for bdf2, and for imex1 the ring slot that holds u_prev from step 2 on
-    scratch = fs if bdf2 else ring
     spec = np.empty(g._rfft_k2.shape, dtype=np.complex128)
+    # a record forms its sums in the half spectrum, free from the end of a solve to the next step's row stage
+    scratch = _block(spec, g.shape)
     mult = _helmholtz_multiplier(g, model.kappa, 1.0, tau)
     # the helper is shut down when the generator ends: exhausted, closed, or raising
     with ThreadPoolExecutor(1) if split and _splits(g) else contextlib.nullcontext() as helper:
         for step in range(1, n_steps + 1):
             out = ring[step % 2]
+            if bdf2 and step > 1:  # f(u_prev) is where the step before put f(its u)
+                rhs = _bdf2_rhs(model, tau, u.values, u_prev.values, fs[(step - 1) % 2], fs[step % 2], spec, out)
+            else:  # BDF2 kick-starts with one imex1 step
+                rhs = _imex1_rhs(model, tau, u.values, fs[step % 2] if bdf2 else out, out)
             try:  # the block closes before the yield: the caller's code between steps keeps its own np.errstate
                 with np.errstate(over="ignore", invalid="ignore"):
-                    if bdf2 and step > 1:  # f(u_prev) is where the step before put f(its u)
-                        u_next, gradient = _bdf2_kernel(model, tau, u, u_prev, fs[(step - 1) % 2], mult,
-                                                        fs[step % 2], spec, out, record, helper)
-                    else:  # BDF2 kick-starts with one imex1 step, then solves with a = 3/2
-                        u_next, gradient = _imex1_kernel(u, model, tau, mult, fs[step % 2] if bdf2 else out,
-                                                         spec, out, record, helper)
-                        if bdf2:
-                            _helmholtz_multiplier(g, model.kappa, 1.5, tau, out=mult)
+                    u_next, gradient = _apply_multiplier(g, rhs, mult, spec, out, record, helper)
                     u, u_prev = u_next, u
-                    row = _record(model, tau, step, u, u_prev, gradient, scratch[(step + 1) % 2]) if record else None
+                    row = _record(model, tau, step, u, u_prev, gradient, scratch) if record else None
             except NonFiniteError as exc:
                 raise NonFiniteError(f"non-finite field values at step {step}") from exc
+            if bdf2 and step == 1:  # from step 2 on bdf2 solves with a = 3/2
+                _helmholtz_multiplier(g, model.kappa, 1.5, tau, out=mult)
             yield u, row
 
 

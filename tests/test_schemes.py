@@ -379,10 +379,11 @@ class TestRun:
     ])
     def test_recorded_steps_allocate_one_field(self, model, n, fields, scheme, monkeypatch):
         # A step of the stream run and the CLI consume: the solve's Parseval sum goes in
-        # its output slot, and the record forms its sums in the slot the next step writes,
-        # so a recorded step allocates no field. What remains is the solve's scratch: at
-        # n=64 the multiplier's complex cast takes a whole spectrum; at n=256 (split) a
-        # step peaks at 0.57 fields, against 1.00 with a transient field for the record.
+        # its output slot, and the record forms its sums in the half spectrum, free until
+        # the next step's row stage, so a recorded step allocates no field. What remains is
+        # the solve's scratch: at n=64 the multiplier's complex cast takes a whole spectrum;
+        # at n=256 (split) a step peaks at 0.57 fields, against 1.00 with a transient field
+        # for the record.
         monkeypatch.setattr(psg.schemes, "_cores", lambda: 2)
         grid = TorusGrid(2, n)
         u0 = Field.from_function(grid, lambda x, y: np.sin(x) * np.cos(y))
@@ -437,8 +438,8 @@ class TestRun:
     @pytest.mark.parametrize("n", [64, 256])  # 256 splits each solve across two threads
     @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
     def test_run_never_writes_its_input(self, scheme, n, monkeypatch, rng):
-        # Sweep members share u0. A record forms its sums in the slot the next step writes,
-        # which for imex1 holds u_prev from step 2 on: the increment reads it first.
+        # Sweep members share u0, which no step or record writes. A record forms its sums in
+        # the half spectrum, and its modified energy reads u_prev, which must still hold it.
         monkeypatch.setattr(psg.schemes, "_cores", lambda: 2)
         grid = TorusGrid(2, n)
         u0 = random_smooth_field(grid, rng, target_linf=3.0)
@@ -509,7 +510,12 @@ class TestSplitSteps:
     def test_split_steps_bitwise(self, n, model, scheme, record, monkeypatch, rng):
         u0 = random_smooth_field(TorusGrid(2, n), rng, target_linf=3.0)
         split = self.stream(u0, model, scheme, record, 2, monkeypatch)
-        assert split == self.stream(u0, model, scheme, record, 1, monkeypatch)
+        unsplit = self.stream(u0, model, scheme, record, 1, monkeypatch)
+        assert split == unsplit
+        if record:  # recording changes no iterate: a recorder that wrote a live buffer would move the next step
+            for cores, stream in ((2, split), (1, unsplit)):
+                plain = self.stream(u0, model, scheme, False, cores, monkeypatch)
+                assert [values for values, _ in stream] == [values for values, _ in plain]
 
     def test_cores_without_affinity(self, monkeypatch):
         # where the platform has no affinity mask, the machine's count (or 1 when unknown)

@@ -24,6 +24,7 @@ from psg import (
     TorusGrid,
     build_periodic_orbit,
     classify,
+    energy,
     first_integral,
     kink_derivative,
     kink_eval,
@@ -390,26 +391,57 @@ class TestResidual:
 
 
 class TestSteppersKeepSteadyStates:
-    """Steady states of the PDE on the torus are fixed points of both schemes, to their residual."""
+    """Steady states of the PDE on the torus are fixed points of both schemes, to their residual; the
+    periodic orbits are unstable ones, which a perturbed run leaves with falling energy."""
 
-    @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
-    @pytest.mark.parametrize("C", [-0.5, 0.0, 0.5, 0.9])
-    @pytest.mark.parametrize("n", [64, 256])
-    def test_periodic_orbit_is_a_fixed_point(self, n, C, scheme):
-        # kappa = 2*pi/(4*K(m)) makes the period 2*pi, so n//2 + 1 half-period samples
-        # give one period on the torus nodes; kappa/h is 5.5-38 here. Two steps: bdf2's
-        # second is its own, after the imex1 kick-start. Measured: each moves the orbit by
-        # at most 1.8e-14, against residuals of at least 1e-13.
+    @staticmethod
+    def torus_orbit(n, C):
+        """The periodic orbit of first integral C with period 2*pi, its samples on TorusGrid(1, n) and its model.
+
+        kappa = 2*pi/(4*K(m)) makes the period 2*pi, so n//2 + 1 half-period samples give
+        one period on the torus nodes; kappa/h is 5.5-38 for n in {64, 256}.
+        """
         K = build_periodic_orbit(C, 1.0).period / 4
         kappa = 2 * np.pi / (4 * K)
         orbit = build_periodic_orbit(C, kappa, samples=n // 2 + 1)
         grid = TorusGrid(1, n)
         x, u = orbit.periodic_samples()
         assert np.max(np.abs(x - grid.nodes)) <= 1e-13
-        model = ModelSpec(ModelKind.SINE_GORDON, kappa)
+        return orbit, Field(grid, u), ModelSpec(ModelKind.SINE_GORDON, kappa)
+
+    @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
+    @pytest.mark.parametrize("C", [-0.5, 0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_periodic_orbit_is_a_fixed_point(self, n, C, scheme):
+        # Two steps: bdf2's second is its own, after the imex1 kick-start. Measured: each
+        # moves the orbit by at most 1.8e-14, against residuals of at least 1e-13.
+        orbit, steady, model = self.torus_orbit(n, C)
         for tau in (0.1, 1.0, 2.0):
-            for stepped, _ in run_steps(Field(grid, u), model, scheme, tau, 2):
-                assert np.max(np.abs(stepped.values - u)) <= orbit.residual_max()
+            for stepped, _ in run_steps(steady, model, scheme, tau, 2):
+                assert np.max(np.abs(stepped.values - steady.values)) <= orbit.residual_max()
+
+    @pytest.mark.parametrize("scheme,name", [(SchemeKind.IMEX1, "energy"), (SchemeKind.BDF2, "modified_energy")])
+    @pytest.mark.parametrize("C", [-0.5, 0.0, 0.5])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_perturbed_orbit_leaves_with_falling_energy(self, n, C, scheme, name):
+        # The orbits are critical points of E but not minima: shifted by 1e-3, the flow
+        # leaves them, and the energy each scheme dissipates falls strictly on the way out.
+        # Measured: every step lowers it by at least 5.9e-8 until ||u - orbit||_inf first
+        # exceeds 0.5 (steps 83-244); it falls until steps 273-469; after 600 steps the run
+        # sits on u = pi, at -2*pi, 10.97-12.45 below the orbit's energy. C = 0.9 is left
+        # out (it moves 0.027 in 600 steps), and so are cos x and sin x shifts, which do not
+        # leave the orbit.
+        _, steady, model = self.torus_orbit(n, C)
+        u0 = Field(steady.grid, steady.values + 1e-3)
+        before, left = energy(model, u0), False
+        for u, record in run_steps(u0, model, scheme, 0.1, 600):
+            after = getattr(record, name)
+            if not left:
+                assert before - after >= 5e-8, record.step_index
+                left = np.max(np.abs(u.values - steady.values)) > 0.5
+            before = after
+        assert left
+        assert after <= energy(model, steady) - 10.9
 
     @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
     @pytest.mark.parametrize("value", [0.0, np.pi, -np.pi])
