@@ -10,7 +10,6 @@ physical space by the callers.
 
 from __future__ import annotations
 
-import contextvars
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -224,22 +223,13 @@ def _halves(n: int) -> tuple[slice, slice]:
 
 
 def _each(helper, parts, stage) -> None:
-    """stage(part) for each of one or two parts, the second on the helper; returns when both are done.
-
-    The helper runs in a copy of this thread's context, so under its np.errstate. Both halves run with
-    1024-value ufunc buffers: numpy buffers each operand of an op on a column half, which is not contiguous,
-    and its default 8192 values per operand would take 3/4 of a field per thread for the multiply at n=256.
-    """
-    if helper is None:
+    """stage(part) for each of one or two parts, the second on the helper; returns when both are done."""
+    later = [helper.submit(stage, part) for part in parts[1:]]
+    try:
         stage(parts[0])
-        return
-    with np.errstate():  # the caller's settings; the buffer size is restored on exit
-        np.setbufsize(1024)
-        later = helper.submit(contextvars.copy_context().run, stage, parts[1])
-        try:
-            stage(parts[0])
-        finally:
-            later.result()
+    finally:
+        for future in later:
+            future.result()
 
 
 def laplacian(f: Field) -> Field:

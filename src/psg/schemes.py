@@ -117,17 +117,25 @@ def _splits(grid: TorusGrid) -> bool:
     return grid.dim == 2 and grid.size >= 2**16 and _cores() >= 2
 
 
+def _step_state() -> None:
+    """Set this thread's numpy state for a step: floating-point warnings off, as psg's finiteness checks raise
+    NonFiniteError, and 1024-value ufunc buffers: numpy buffers each operand of an op on a non-contiguous column
+    half, and its default 8192 values each would take 3/4 of a field per thread for the multiply at n=256."""
+    np.seterr(all="ignore")
+    np.setbufsize(1024)
+
+
 def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, n_steps: int,
              record: bool = False, split: bool = True) -> Iterator[tuple[Field, StepRecord | None]]:
     """Yield (u, its StepRecord if record else None) after each of steps 1..n_steps.
 
-    Each step runs with numpy's overflow warnings silenced: a non-finite field or
-    diagnostic raises NonFiniteError naming its step. The steps run in buffers this
-    generator owns, which hold each yielded field's array: a field is valid only
-    until the next advance. Copy what must outlive it. Where _splits(grid), each
-    solve runs its halves on this thread and on a helper thread the generator owns
-    until it ends (split=False keeps every step on this thread); the iterates are
-    bitwise the same either way.
+    Each step runs under _step_state on each of its threads, whatever the caller's
+    numpy settings: a non-finite field or diagnostic raises NonFiniteError naming its
+    step. The steps run in buffers this generator owns, which hold each yielded
+    field's array: a field is valid only until the next advance. Copy what must
+    outlive it. Where _splits(grid), each solve runs its halves on this thread and on
+    a helper thread the generator owns until it ends (split=False keeps every step on
+    this thread); the iterates are bitwise the same either way.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -144,15 +152,16 @@ def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, n_step
     scratch = _block(spec, g.shape)
     mult = _helmholtz_multiplier(g, model.kappa, 1.0, tau)
     # the helper is shut down when the generator ends: exhausted, closed, or raising
-    with ThreadPoolExecutor(1) if split and _splits(g) else contextlib.nullcontext() as helper:
+    with ThreadPoolExecutor(1, initializer=_step_state) if split and _splits(g) else contextlib.nullcontext() as helper:
         for step in range(1, n_steps + 1):
             out = ring[step % 2]
             if bdf2 and step > 1:  # f(u_prev) is where the step before put f(its u)
                 rhs = _bdf2_rhs(model, tau, u.values, u_prev.values, fs[(step - 1) % 2], fs[step % 2], spec, out)
             else:  # BDF2 kick-starts with one imex1 step
                 rhs = _imex1_rhs(model, tau, u.values, fs[step % 2] if bdf2 else out, out)
-            try:  # the block closes before the yield: the caller's code between steps keeps its own np.errstate
-                with np.errstate(over="ignore", invalid="ignore"):
+            try:  # the block closes before the yield: the caller's code between steps keeps its own numpy state
+                with np.errstate():
+                    _step_state()
                     u_next, gradient = _apply_multiplier(g, rhs, mult, spec, out, record, helper)
                     u, u_prev = u_next, u
                     row = _record(model, tau, step, u, u_prev, gradient, scratch) if record else None

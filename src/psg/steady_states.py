@@ -249,22 +249,22 @@ def reflect_extend(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mirror a sampled branch about its left endpoint, extending leftward.
 
-    EVEN requires u'(x[0]) ~ 0 and produces u(x0 - s) = u(x0 + s); ODD
-    requires u(x[0]) ~ 0 and produces u(x0 - s) = -u(x0 + s). The input
-    endpoint condition is checked to tolerance tol and a violation raises
-    ReflectionError. Returns the extended (x, u), 2*len(x) - 1 points.
+    EVEN requires h*u'(x[0]) ~ 0 at sample spacing h and produces
+    u(x0 - s) = u(x0 + s); ODD requires u(x[0]) ~ 0 and produces
+    u(x0 - s) = -u(x0 + s). Both endpoint conditions are in the units of u,
+    checked to tolerance tol; a violation raises ReflectionError. Returns
+    the extended (x, u), 2*len(x) - 1 points.
     """
     x = np.asarray(x, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     if x.ndim != 1 or x.shape != u.shape or len(x) < 5:
         raise ValueError("x and u must be equal-length 1D arrays with >= 5 samples")
-    h = x[1] - x[0]
     if mode is Reflection.EVEN:
-        # 4th-order one-sided estimate; a 2nd-order one cannot certify a
-        # ~zero slope to tol on moderate grids.
-        endpoint_slope = (-25.0 * u[0] + 48.0 * u[1] - 36.0 * u[2] + 16.0 * u[3] - 3.0 * u[4]) / (12.0 * h)
-        if not abs(endpoint_slope) <= tol:  # NaN fails too
-            raise ReflectionError(f"even reflection needs u'(x0) ~ 0, got {endpoint_slope:.3e}")
+        # 4th-order one-sided estimate of h*u'(x0), with no division by h: a slope grows as 1/h on
+        # narrow orbits, and a 2nd-order estimate cannot certify a ~zero change to tol on moderate grids.
+        endpoint_change = (-25.0 * u[0] + 48.0 * u[1] - 36.0 * u[2] + 16.0 * u[3] - 3.0 * u[4]) / 12.0
+        if not abs(endpoint_change) <= tol:  # NaN fails too
+            raise ReflectionError(f"even reflection needs h*u'(x0) ~ 0, got {endpoint_change:.3e}")
         mirrored = u[:0:-1]
     elif mode is Reflection.ODD:
         if not abs(u[0]) <= tol:
@@ -297,6 +297,8 @@ def residual(u, kappa: float, *, spacing: float | None = None, periodic: bool | 
     if isinstance(u, Field):
         if u.grid.dim != 1:
             raise ValueError("residual expects 1D samples")
+        if spacing is not None:
+            raise ValueError("a Field carries its own spacing; pass spacing only with a plain array")
         values = u.values
         spacing = u.grid.spacing
         periodic = True if periodic is None else periodic

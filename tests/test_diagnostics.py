@@ -276,6 +276,16 @@ class TestConvergenceOrder:
         with pytest.raises(ValueError, match="levels must be >= 3"):
             convergence_order(config, SchemeKind.IMEX1, tau_base=0.1, levels=2, t_final=1.0)
 
+    def test_memory_does_not_grow_with_steps(self):
+        # Each run keeps only its last step. Unpacking the stream into a list held every
+        # yielded pair, about 150 B per step: 430 KB more here.
+        def peak(tau_base):  # 320 and 3200 reference steps
+            config = demo_config(n_per_axis=16, tau=tau_base, t_final=1.0)
+            return traced_peak(lambda: convergence_order(config, SchemeKind.IMEX1, tau_base, 3, 1.0))
+
+        peak(0.1)  # warm-up: grid tables
+        assert peak(0.01) - peak(0.1) < 32 * 1024
+
     def test_blowup_names_step(self):
         # The fit steps through the same guard as run_steps: no numpy warning, and the failing step named.
         config = demo_config(model_kind=ModelKind.ALLEN_CAHN, n_per_axis=64, t_final=8000.0, tau=1000.0)

@@ -381,9 +381,9 @@ class TestRun:
         # A step of the stream run and the CLI consume: the solve's Parseval sum goes in
         # its output slot, and the record forms its sums in the half spectrum, free until
         # the next step's row stage, so a recorded step allocates no field. What remains is
-        # the solve's scratch: at n=64 the multiplier's complex cast takes a whole spectrum;
-        # at n=256 (split) a step peaks at 0.57 fields, against 1.00 with a transient field
-        # for the record.
+        # the solve's scratch: at n=64 the multiplier's complex cast through the step's
+        # 1024-value buffers (0.58-0.60 fields, 1.11 with numpy's default 8192); at n=256
+        # (split) a step peaks at 0.57 fields, against 1.00 with a transient field for the record.
         monkeypatch.setattr(psg.schemes, "_cores", lambda: 2)
         grid = TorusGrid(2, n)
         u0 = Field.from_function(grid, lambda x, y: np.sin(x) * np.cos(y))
@@ -516,6 +516,17 @@ class TestSplitSteps:
             for cores, stream in ((2, split), (1, unsplit)):
                 plain = self.stream(u0, model, scheme, False, cores, monkeypatch)
                 assert [values for values, _ in stream] == [values for values, _ in plain]
+
+    def test_step_state_is_its_own(self, monkeypatch):
+        # Both threads of a step run under the step's numpy state, not the caller's: under
+        # np.errstate(all="raise") the cube of 1e-200 amplitudes raised on underflow, split and unsplit.
+        u0 = Field.from_function(TorusGrid(2, 256), lambda x, y: 1e-200 * np.sin(x) * np.sin(y))
+        bufsize = np.getbufsize()
+        for cores in (2, 1):
+            expected = self.stream(u0, AC, SchemeKind.BDF2, False, cores, monkeypatch, n_steps=3)
+            with np.errstate(all="raise"):
+                assert self.stream(u0, AC, SchemeKind.BDF2, False, cores, monkeypatch, n_steps=3) == expected
+                assert np.geterr()["under"] == "raise" and np.getbufsize() == bufsize  # the caller's state again
 
     def test_cores_without_affinity(self, monkeypatch):
         # where the platform has no affinity mask, the machine's count (or 1 when unknown)

@@ -299,6 +299,15 @@ class TestReflectExtend:
         expected = orbit_oracle(0.0, kappa, np.abs(x))
         assert np.max(np.abs(u - expected)) <= 1e-10
 
+    @pytest.mark.parametrize("kappa", [1.0, 0.01, 1e-6])
+    def test_even_accepts_narrow_orbits(self, kappa):
+        # The check is on the one-sample change h*u'(x0): the slope grows as 1/h and reached
+        # 6.4e-8 at kappa = 0.01 and 6.4e-4 at kappa = 1e-6 on these exact orbits.
+        orbit = build_periodic_orbit(0.0, kappa)
+        x, u = reflect_extend(orbit.half_x, orbit.half_u, Reflection.EVEN)
+        full_x, full_u = orbit.full_profile()
+        assert np.array_equal(x, full_x) and np.array_equal(u, full_u)
+
     def test_odd_recovers_full_kink(self):
         kappa = 0.5
         x_half = np.linspace(0.0, 4.0, 201)
@@ -349,6 +358,11 @@ class TestResidual:
         for spacing in (0.0, -0.1, np.nan, np.inf):
             with pytest.raises(ValueError, match="^spacing must be finite and > 0"):
                 residual(np.zeros(32), 0.5, spacing=spacing)
+
+    def test_field_rejects_a_second_spacing(self):
+        # a Field carries its own spacing: the one passed with it was silently ignored
+        with pytest.raises(ValueError, match="^a Field carries its own spacing"):
+            residual(Field.from_function(TorusGrid(1, 32), np.sin), 1.0, spacing=123.0)
 
     def test_window_needs_five_samples(self):
         with pytest.raises(ValueError):
