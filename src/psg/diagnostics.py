@@ -3,11 +3,12 @@
 The monitors turn the schemes' dissipation and boundedness guarantees into
 assertable checks over a stream of step records: the first-order scheme
 dissipates the plain energy for tau <= 2, the two-step scheme the modified
-energy for tau <= 1/2, and first-order iterates stay bounded by pi for
-tau <= 1 when the initial data is and the grid resolves the kinks (about
-kappa/h >= 2.5 at spacing h: the truncated resolvent is not positivity-
-preserving). One fold reads each record once and keeps none, with fixed
-slacks because the guarantees are exact only in exact arithmetic.
+energy for tau <= 1/2, and a first-order step from data bounded by pi
+stays bounded by pi for tau <= 1 exactly when the truncated resolvent's
+kernel R = irfft(1/(1 + tau*kappa^2*|k|^2)) is nonnegative (in general by
+pi*||R||_1, which u0 = pi*sign(R reflected) attains). One fold reads each
+record once and keeps none, with fixed slacks because the guarantees are
+exact only in exact arithmetic.
 """
 
 from __future__ import annotations

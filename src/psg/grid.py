@@ -142,8 +142,7 @@ class Field:
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape != self.grid.shape:
             raise ValueError(f"values shape {v.shape} does not match grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteError("field contains non-finite values")
+        _check_finite(v)
         object.__setattr__(self, "values", v)
 
     @classmethod
@@ -170,17 +169,18 @@ class Field:
 
 
 def _apply_multiplier(grid: TorusGrid, values, mult: np.ndarray, spec=None, out=None, gradient=False,
-                      helper=None) -> tuple[Field, float | None]:
+                      helper=None, then=None) -> tuple[Field, float | None]:
     """values times mult (in out if given), and with gradient=True the result's -integral(v * Lap v) by Parseval.
 
     values is an array, or a function of a row range that forms those rows of the input and returns them;
     until the row stage's rfft writes spec's rows of that range, the function may use them as scratch.
     The solve runs in three stages, each over rows or columns of its own: rows (values, then rfft along the
-    last axis), columns of the half spectrum (fft along axis 0, times mult, ifft) and rows (irfft). Given a
-    helper (an executor with one worker), each stage of a 2D solve runs over two halves, the second on the
-    helper; mult must then have the half spectrum's shape. Without one, each stage runs over the whole range.
+    last axis), columns of the half spectrum (fft along axis 0, times mult, ifft) and rows (irfft, a check
+    that those rows are finite and, given then, a row function like values, the next solve's row stage on
+    them, which that solve skips: its values is None). Given a helper (the queue pair of _each), each stage
+    of a 2D solve runs over two halves, the second on the helper; mult must then have the half spectrum's
+    shape. Without one, each stage runs over the whole range.
     """
-    rows_of = values if callable(values) else values.__getitem__
     mult = np.asarray(mult)
     spec = np.empty(grid._rfft_k2.shape, dtype=np.complex128) if spec is None else spec
     out = np.empty(grid.shape) if out is None else out
@@ -188,14 +188,31 @@ def _apply_multiplier(grid: TorusGrid, values, mult: np.ndarray, spec=None, out=
         rows = cols = (...,)
     else:
         rows, cols = _halves(grid.n_per_axis), tuple((slice(None), c) for c in _halves(spec.shape[-1]))
-    _each(helper, rows, lambda r: np.fft.rfft(rows_of(r), axis=-1, out=spec[r]))
+
+    def inverse(r):
+        np.fft.irfft(spec[r], n=grid.n_per_axis, axis=-1, out=out[r])
+        _check_finite(out[r])
+        if then is not None:
+            np.fft.rfft(then(r), axis=-1, out=spec[r])
+
+    if values is not None:
+        rows_of = values if callable(values) else values.__getitem__
+        _each(helper, rows, lambda r: np.fft.rfft(rows_of(r), axis=-1, out=spec[r]))
     # the Parseval terms go in out, free from the row stage's end until the inverse: one buffer of the half
     # spectrum's shape, which each column part fills in its columns and which is summed whole
     power = _block(out, spec.shape) if gradient else None
     _each(helper, cols, lambda c: _scale_columns(grid, spec, mult, power, c))
     total = None if power is None else float(power.sum()) * grid.spacing**grid.dim / grid.size
-    _each(helper, rows, lambda r: np.fft.irfft(spec[r], n=grid.n_per_axis, axis=-1, out=out[r]))
-    return Field(grid, out), total
+    _each(helper, rows, inverse)
+    field = object.__new__(Field)  # each row range is checked: skip __post_init__'s check of the whole
+    field.__dict__.update(grid=grid, values=out)
+    return field, total
+
+
+def _check_finite(values: np.ndarray) -> None:
+    """NonFiniteError unless every entry of values is finite (a Field's values, or a solve's row range)."""
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteError("field contains non-finite values")
 
 
 def _scale_columns(grid: TorusGrid, spec: np.ndarray, mult: np.ndarray, power, cols) -> None:
@@ -223,13 +240,18 @@ def _halves(n: int) -> tuple[slice, slice]:
 
 
 def _each(helper, parts, stage) -> None:
-    """stage(part) for each of one or two parts, the second on the helper; returns when both are done."""
-    later = [helper.submit(stage, part) for part in parts[1:]]
+    """stage(part) for each of one or two parts, the second on the helper, whose thread takes (stage, part) from
+    its first queue and puts None or what it raised on its second; returns when both are done, or raises."""
+    if len(parts) == 1:
+        return stage(parts[0])
+    tasks, done = helper
+    tasks.put((stage, parts[1]))
     try:
         stage(parts[0])
     finally:
-        for future in later:
-            future.result()
+        error = done.get()
+    if error is not None:
+        raise error
 
 
 def laplacian(f: Field) -> Field:

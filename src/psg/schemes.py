@@ -15,7 +15,8 @@ from __future__ import annotations
 import contextlib
 import enum
 import os
-from concurrent.futures import ThreadPoolExecutor
+import queue
+import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -111,8 +112,8 @@ def _splits(grid: TorusGrid) -> bool:
     """Whether a run on grid splits each solve across two threads: 2D grids of 2^16 points and up, given two cores.
 
     On a 2-vCPU host a split 2D step took 0.70-0.75x the unsplit time at n=256, 1.09-1.15x at n=128 and
-    2.3-3.3x at n=64 (medians of 12 alternating runs): each of its three hand-offs between threads costs
-    12-17 us, which only the larger grids' halves earn back.
+    2.3-3.3x at n=64 (medians of 12 alternating runs, with three hand-offs per step through an executor):
+    each hand-off between threads costs 10-17 us, which only the larger grids' halves earn back.
     """
     return grid.dim == 2 and grid.size >= 2**16 and _cores() >= 2
 
@@ -125,6 +126,31 @@ def _step_state() -> None:
     np.setbufsize(1024)
 
 
+@contextlib.contextmanager
+def _helper() -> Iterator[tuple[queue.SimpleQueue, queue.SimpleQueue]]:
+    """The queue pair of a thread that runs, under _step_state, the second part of each stage _each hands it,
+    until the block ends: a round trip takes 5-9 us, against 10-11 us through a one-worker executor."""
+    tasks, done = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def serve():
+        _step_state()
+        for stage, part in iter(tasks.get, None):
+            try:
+                stage(part)
+            except BaseException as exc:  # _each raises it on the calling thread
+                done.put(exc)
+            else:
+                done.put(None)
+
+    thread = threading.Thread(target=serve, daemon=True)  # a stream left open at exit must not block it
+    thread.start()
+    try:
+        yield tasks, done
+    finally:
+        tasks.put(None)
+        thread.join()
+
+
 def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, n_steps: int,
              record: bool = False, split: bool = True) -> Iterator[tuple[Field, StepRecord | None]]:
     """Yield (u, its StepRecord if record else None) after each of steps 1..n_steps.
@@ -135,7 +161,10 @@ def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, n_step
     field's array: a field is valid only until the next advance. Copy what must
     outlive it. Where _splits(grid), each solve runs its halves on this thread and on
     a helper thread the generator owns until it ends (split=False keeps every step on
-    this thread); the iterates are bitwise the same either way.
+    this thread); the iterates are bitwise the same either way. Unrecorded, each
+    step but the last forms the next one's right-hand side in its last row stage,
+    so a split step hands off twice; a record needs the whole new field and u_prev,
+    and takes the half spectrum.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -151,22 +180,30 @@ def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, n_step
     # a record forms its sums in the half spectrum, free from the end of a solve to the next step's row stage
     scratch = _block(spec, g.shape)
     mult = _helmholtz_multiplier(g, model.kappa, 1.0, tau)
-    # the helper is shut down when the generator ends: exhausted, closed, or raising
-    with ThreadPoolExecutor(1, initializer=_step_state) if split and _splits(g) else contextlib.nullcontext() as helper:
+
+    def rhs(step, u, u_prev):
+        """The row function of step's right-hand side, from the arrays u and u_prev (None at step 1)."""
+        out = ring[step % 2]
+        if bdf2 and step > 1:  # f(u_prev) is where the step before put f(its u)
+            return _bdf2_rhs(model, tau, u, u_prev, fs[(step - 1) % 2], fs[step % 2], spec, out)
+        return _imex1_rhs(model, tau, u, fs[step % 2] if bdf2 else out, out)  # BDF2 kick-starts with imex1
+
+    then = None  # a step given then forms the next one's right-hand side in spec, as its last row stage
+    # the helper ends when the generator does: exhausted, closed, or raising
+    with _helper() if split and _splits(g) else contextlib.nullcontext() as helper:
         for step in range(1, n_steps + 1):
             out = ring[step % 2]
-            if bdf2 and step > 1:  # f(u_prev) is where the step before put f(its u)
-                rhs = _bdf2_rhs(model, tau, u.values, u_prev.values, fs[(step - 1) % 2], fs[step % 2], spec, out)
-            else:  # BDF2 kick-starts with one imex1 step
-                rhs = _imex1_rhs(model, tau, u.values, fs[step % 2] if bdf2 else out, out)
+            rows = None if then else rhs(step, u.values, u_prev)
+            # the next step's u is this one's out and its u_prev this one's u, which no row reads after its rfft
+            then = rhs(step + 1, out, u.values) if not record and step < n_steps else None
             try:  # the block closes before the yield: the caller's code between steps keeps its own numpy state
                 with np.errstate():
                     _step_state()
-                    u_next, gradient = _apply_multiplier(g, rhs, mult, spec, out, record, helper)
-                    u, u_prev = u_next, u
-                    row = _record(model, tau, step, u, u_prev, gradient, scratch) if record else None
+                    u_next, gradient = _apply_multiplier(g, rows, mult, spec, out, record, helper, then)
+                    row = _record(model, tau, step, u_next, u, gradient, scratch) if record else None
             except NonFiniteError as exc:
                 raise NonFiniteError(f"non-finite field values at step {step}") from exc
+            u, u_prev = u_next, u.values
             if bdf2 and step == 1:  # from step 2 on bdf2 solves with a = 3/2
                 _helmholtz_multiplier(g, model.kappa, 1.5, tau, out=mult)
             yield u, row

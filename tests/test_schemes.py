@@ -1,6 +1,7 @@
 """Time steppers: exact reductions, symmetries, dissipation and boundedness."""
 
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import psg.grid
 import psg.models
 import psg.schemes
 
@@ -262,6 +264,48 @@ class TestGuarantees:
         records = run(u0, ModelSpec(ModelKind.SINE_GORDON, kappa), SchemeKind.IMEX1, tau, 40)
         assert not monitor_reports(records)[0].maxp.violated
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n,tau,kappa_h", [(64, 1.0, 1.0), (64, 0.25, 4.0), (64, 1.0, 3.0), (32, 0.5, 2.0)])
+    def test_one_step_sup_norm_bound_is_attained(self, dim, n, tau, kappa_h):
+        # x + tau*sin x maps [-pi, pi] onto itself for tau <= 1, so one imex1 step from
+        # |u0| <= pi gives |u1| <= pi*||R||_1, R = irfft(multiplier) being the solve's kernel,
+        # and u0 = pi*sign(R reflected) attains the bound at node 0 (sin u0 = 0 there). The
+        # bound is pi exactly when R >= 0: at n=64, tau=1 from kappa/h = 3 on, not at kappa/h = 1.
+        grid = TorusGrid(dim, n)
+        kappa = kappa_h * grid.spacing
+        kernel = np.fft.irfftn(_helmholtz_multiplier(grid, kappa, 1.0, tau), s=grid.shape, axes=range(dim))
+        reflected = kernel[np.ix_(*[-np.arange(n) % n] * dim)]
+        u0 = Field(grid, np.pi * np.sign(reflected))
+        u1 = next(run_steps(u0, ModelSpec(ModelKind.SINE_GORDON, kappa), SchemeKind.IMEX1, tau, 1))[0]
+        bound = np.pi * np.abs(kernel).sum()
+        assert abs(u1.linf() - bound) <= 8 * np.spacing(np.pi)
+        assert abs(u1.values.flat[0]) == u1.linf()
+        assert (kernel.min() >= 0) == (u1.linf() <= np.pi + 1e-12)
+
+    def test_one_step_sup_norm_pinned(self):
+        # Two 1D cases above, pinned: kappa/h = 1 at tau = 1 exceeds pi by 1.20e-2, and kappa/h = 4
+        # at tau = 0.25 (past the old "kappa/h >= 2.5" rule) by 8.88e-4; the maxp monitor flags step 1.
+        grid = TorusGrid(1, 64)
+        for tau, kappa_h, linf, excess in ((1.0, 1.0, 3.153558574520634, 1.1966e-2),
+                                           (0.25, 4.0, 3.142480926799757, 8.883e-4)):
+            kappa = kappa_h * grid.spacing
+            kernel = np.fft.irfft(_helmholtz_multiplier(grid, kappa, 1.0, tau), n=64)
+            u0 = Field(grid, np.pi * np.sign(kernel[-np.arange(64) % 64]))
+            records = run(u0, ModelSpec(ModelKind.SINE_GORDON, kappa), SchemeKind.IMEX1, tau, 20)
+            assert records[0].linf == linf
+            assert records[0].linf - np.pi == pytest.approx(excess, rel=1e-4)
+            assert monitor_reports(records)[0].maxp.first_violation_step == 1
+
+    def test_imex1_tau_bound_is_sharp(self):
+        # At the energy minimum u = pi the mean mode v of u = pi + v maps to (1 - tau)*v, so the
+        # energy rises exactly when tau > 2: clean over 200 steps at tau = 2, rising at 2.01.
+        u0 = Field.constant(TorusGrid(1, 16), np.pi + 0.01)
+        model = ModelSpec(ModelKind.SINE_GORDON, 0.1)
+        for tau, first in ((2.0, None), (2.01, 2)):
+            records = run(u0, model, SchemeKind.IMEX1, tau, 200)
+            assert monitor_reports(records)[0].energy.first_violation_step == first
+            assert (records[0].energy <= energy(model, u0)) == (first is None)  # u0 -> u1 too
+
     def test_max_principle_fails_on_unresolved_kinks(self):
         # The discrete resolvent 1/(1 + tau*kappa^2*|k|^2) is not positivity-preserving: at
         # kappa/h = 0.32 the reaction steepens u0 = sin 3x into kinks the grid cannot resolve,
@@ -335,12 +379,16 @@ class TestRun:
             seen = [np.geterr() for _ in run_steps(u0, SG, scheme, 0.1, 4)]
         assert seen == [expected] * 4
 
-    @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
-    def test_one_transform_pair_and_nonlinearity_per_step(self, scheme, monkeypatch):
-        # A recorded step is its Helmholtz solve's transform pair (in 2D the forward
-        # transform is rfftn's stages, rfft then fft, and the inverse irfftn's, ifft
-        # then irfft) and one evaluation of f: the energy reuses the solve's spectrum,
-        # and BDF2 carries f(u_prev) over from the step before (the kick-start's f(u0)).
+    @pytest.mark.parametrize("scheme,record", [
+        pytest.param(scheme, record, id=f"{scheme}{'' if record else '-unrecorded'}")
+        for scheme in SchemeKind for record in (True, False)
+    ])
+    def test_one_transform_pair_and_nonlinearity_per_step(self, scheme, record, monkeypatch):
+        # A step is its Helmholtz solve's transform pair (in 2D the forward transform is
+        # rfftn's stages, rfft then fft, and the inverse irfftn's, ifft then irfft) and one
+        # evaluation of f: the energy reuses the solve's spectrum, and BDF2 carries f(u_prev)
+        # over from the step before (the kick-start's f(u0)). Unrecorded, a step forms the
+        # next one's right-hand side in its last row stage, but the last step forms none.
         counts = {"rfft": 0, "fft": 0, "ifft": 0, "irfft": 0, "rfftn": 0, "irfftn": 0, "_reaction": 0}
 
         def counted(owner, name):
@@ -355,8 +403,8 @@ class TestRun:
             counted(np.fft, name)
         counted(psg.schemes, "_reaction")
         u0 = Field.from_function(TorusGrid(2, 16), lambda x, y: np.sin(x) * np.cos(y))
-        records = run(u0, SG, scheme, 0.1, 7)
-        assert len(records) == 7
+        rows = [row for _, row in psg.schemes._advance(u0, SG, scheme, 0.1, 7, record=record)]
+        assert len(rows) == 7 and all((row is not None) == record for row in rows)
         assert counts == {"rfft": 7, "fft": 7, "ifft": 7, "irfft": 7, "rfftn": 0, "irfftn": 0, "_reaction": 7}
 
     @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
@@ -390,21 +438,27 @@ class TestRun:
         steps = run_steps(u0, model, scheme, 0.1, 13)
         assert peak_fields_after_warmup(grid, lambda: next(steps)) <= fields
 
-    @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
-    def test_one_finiteness_check_per_step(self, scheme, monkeypatch):
-        # Only the solved field is checked: a non-finite f(u) reaches it in the same step.
-        u0 = Field.from_function(TorusGrid(2, 16), lambda x, y: np.sin(x) * np.cos(y))
+    @pytest.mark.parametrize("scheme,n,parts", [  # 256 splits each solve's rows in two
+        pytest.param(scheme, n, parts, id=f"{scheme}{'' if n == 16 else '-256'}")
+        for scheme in SchemeKind for n, parts in ((16, 1), (256, 2))
+    ])
+    def test_one_finiteness_check_per_step(self, scheme, n, parts, monkeypatch):
+        # Only the solved field is checked, once per step and row part, by the solve's last
+        # row stage (the yielded Field skips its own whole-array check): a non-finite f(u)
+        # reaches the solved field in the same step.
+        monkeypatch.setattr(psg.schemes, "_cores", lambda: 2)
+        u0 = Field.from_function(TorusGrid(2, n), lambda x, y: np.sin(x) * np.cos(y))
         checks = []
-        original = Field.__post_init__
+        original = psg.grid._check_finite
 
-        def counted(self):
-            checks.append(1)
-            original(self)
-        monkeypatch.setattr(Field, "__post_init__", counted)
+        def counted(values):
+            checks.append(values.shape)
+            original(values)
+        monkeypatch.setattr(psg.grid, "_check_finite", counted)
         steps = psg.schemes._advance(u0, SG, scheme, 0.1, 10)
         for _ in range(10):
             next(steps)
-        assert len(checks) == 10
+        assert checks == [(n // parts, n)] * (10 * parts)
 
     @pytest.mark.parametrize("scheme,fields,n", [
         pytest.param(SchemeKind.IMEX1, 4.0, 64, id="SchemeKind.IMEX1-4.0"),
@@ -517,6 +571,21 @@ class TestSplitSteps:
                 plain = self.stream(u0, model, scheme, False, cores, monkeypatch)
                 assert [values for values, _ in stream] == [values for values, _ in plain]
 
+    @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
+    def test_fused_steps_bitwise_under_fast_switching(self, scheme, monkeypatch, rng):
+        # Each thread's last row stage writes the next step's right-hand side over rows of this
+        # step's u: a stage that read another thread's rows would show up as a changed iterate once
+        # the interpreter switches threads every microsecond.
+        u0 = random_smooth_field(TorusGrid(2, 256), rng, target_linf=3.0)
+        unsplit = self.stream(u0, SG, scheme, False, 1, monkeypatch, n_steps=12)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            split = self.stream(u0, SG, scheme, False, 2, monkeypatch, n_steps=12)
+        finally:
+            sys.setswitchinterval(interval)
+        assert split == unsplit
+
     def test_step_state_is_its_own(self, monkeypatch):
         # Both threads of a step run under the step's numpy state, not the caller's: under
         # np.errstate(all="raise") the cube of 1e-200 amplitudes raised on underflow, split and unsplit.
@@ -558,6 +627,33 @@ class TestSplitSteps:
             with pytest.raises(NonFiniteError, match=rf"^non-finite field values at step {step}$"):
                 for _ in psg.schemes._advance(u0, AC, scheme, 1e3, 50, record=record):
                     pass
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
+    def test_blowup_in_helper_rows_names_step(self, scheme, monkeypatch):
+        # Rows n/2.. turn non-finite first, and only on the helper: its inverse stage raises
+        # there, and the calling thread raises that error, naming the step, once both halves
+        # are done. The column stage mixes all rows, so only a solve's last stage can leave
+        # one half non-finite; the helper's irfft does so at its third call.
+        monkeypatch.setattr(psg.schemes, "_cores", lambda: 2)
+        u0 = Field.from_function(TorusGrid(2, 256), lambda x, y: np.sin(x) * np.cos(y))
+        original, helper_calls = np.fft.irfft, []
+
+        def irfft(*args, out, **kwargs):
+            original(*args, out=out, **kwargs)
+            if threading.current_thread() is not threading.main_thread():
+                helper_calls.append(out.shape)
+                if len(helper_calls) == 3:
+                    out[...] = np.inf
+            return out
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+        baseline = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteError, match=r"^non-finite field values at step 3$"):
+                for _ in psg.schemes._advance(u0, SG, scheme, 0.1, 10):
+                    pass
+        assert helper_calls == [(128, 256)] * 3
         assert threading.active_count() == baseline
 
     def test_helper_ends_with_its_run(self, monkeypatch):
