@@ -20,8 +20,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .config import ExperimentConfig, _steps_to, initial_field
-from .grid import _check_positive
-from .schemes import SchemeKind, StepRecord, _advance, _cores
+from .grid import _check_positive, _cores
+from .schemes import SchemeKind, StepRecord, _advance
 
 __all__ = [
     "MonitorReport",

@@ -10,9 +10,14 @@ physical space by the callers.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -177,7 +182,7 @@ def _apply_multiplier(grid: TorusGrid, values, mult: np.ndarray, spec=None, out=
     The solve runs in three stages, each over rows or columns of its own: rows (values, then rfft along the
     last axis), columns of the half spectrum (fft along axis 0, times mult, ifft) and rows (irfft, a check
     that those rows are finite and, given then, a row function like values, the next solve's row stage on
-    them, which that solve skips: its values is None). Given a helper (the queue pair of _each), each stage
+    them, which that solve skips: its values is None). Given a helper (the queue pair _helper yields), each stage
     of a 2D solve runs over two halves, the second on the helper; mult must then have the half spectrum's
     shape. Without one, each stage runs over the whole range.
     """
@@ -252,6 +257,56 @@ def _each(helper, parts, stage) -> None:
         error = done.get()
     if error is not None:
         raise error
+
+
+def _cores() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one, else the machine's count."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _splits(grid: TorusGrid) -> bool:
+    """Whether a run on grid splits each solve across two threads: 2D grids of 176^2 points and up, given two cores.
+
+    On a 2-vCPU host a split 2D sg step (two hand-offs unrecorded, three recorded; medians of 9-31 alternating
+    runs of 100 steps) took 0.62-0.91x the unsplit time at n=176, and under 1x at each larger n measured, for
+    both schemes, recorded or not; a recorded imex1 step read up to 1.00x at n=172 and 1.08x at n=160 and
+    n=144, where the halves no longer earn back a hand-off's 5-9 us."""
+    return grid.dim == 2 and grid.size >= 176**2 and _cores() >= 2
+
+
+def _step_state() -> None:
+    """Set this thread's numpy state for a step: warnings off, as psg's finiteness checks raise NonFiniteError, and
+    1024-value ufunc buffers, as numpy's default 8192 per operand of an op on a column half take 3/4 field at n=256."""
+    np.seterr(all="ignore")
+    np.setbufsize(1024)
+
+
+@contextlib.contextmanager
+def _helper(grid: TorusGrid, split: bool) -> Iterator[tuple[queue.SimpleQueue, queue.SimpleQueue] | None]:
+    """None where a run on grid keeps its solves on one thread (split=False, or not _splits(grid)); else the queue
+    pair of a thread that runs, under _step_state, the second part of each stage _each hands it until the block ends."""
+    if not (split and _splits(grid)):
+        yield None
+        return
+    tasks, done = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def serve():
+        _step_state()
+        for stage, part in iter(tasks.get, None):
+            try:
+                stage(part)
+            except BaseException as exc:  # _each raises it on the calling thread
+                done.put(exc)
+            else:
+                done.put(None)
+
+    thread = threading.Thread(target=serve, daemon=True)  # a stream left open at exit must not block it
+    thread.start()
+    try:
+        yield tasks, done
+    finally:
+        tasks.put(None)
+        thread.join()
 
 
 def laplacian(f: Field) -> Field:

@@ -12,18 +12,14 @@ step with exactly one imex1 step so runs are reproducible.
 
 from __future__ import annotations
 
-import contextlib
 import enum
-import os
-import queue
-import threading
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .grid import (Field, NonFiniteError, TorusGrid, _apply_multiplier, _block, _check_positive,
-                   _helmholtz_multiplier)
+from .grid import (Field, NonFiniteError, _apply_multiplier, _block, _check_positive, _helmholtz_multiplier,
+                   _helper, _step_state)
 from .models import ModelSpec, _energy, _finite, _increment_energy, _reaction
 
 __all__ = [
@@ -101,70 +97,18 @@ def _record(model: ModelSpec, tau: float, step: int, u: Field, u_prev: Field, gr
     )
 
 
-def _cores() -> int:
-    """CPUs this process may run on: its affinity mask where the platform has one, else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _splits(grid: TorusGrid) -> bool:
-    """Whether a run on grid splits each solve across two threads: 2D grids of 2^16 points and up, given two cores.
-
-    On a 2-vCPU host a split 2D step took 0.70-0.75x the unsplit time at n=256, 1.09-1.15x at n=128 and
-    2.3-3.3x at n=64 (medians of 12 alternating runs, with three hand-offs per step through an executor):
-    each hand-off between threads costs 10-17 us, which only the larger grids' halves earn back.
-    """
-    return grid.dim == 2 and grid.size >= 2**16 and _cores() >= 2
-
-
-def _step_state() -> None:
-    """Set this thread's numpy state for a step: floating-point warnings off, as psg's finiteness checks raise
-    NonFiniteError, and 1024-value ufunc buffers: numpy buffers each operand of an op on a non-contiguous column
-    half, and its default 8192 values each would take 3/4 of a field per thread for the multiply at n=256."""
-    np.seterr(all="ignore")
-    np.setbufsize(1024)
-
-
-@contextlib.contextmanager
-def _helper() -> Iterator[tuple[queue.SimpleQueue, queue.SimpleQueue]]:
-    """The queue pair of a thread that runs, under _step_state, the second part of each stage _each hands it,
-    until the block ends: a round trip takes 5-9 us, against 10-11 us through a one-worker executor."""
-    tasks, done = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def serve():
-        _step_state()
-        for stage, part in iter(tasks.get, None):
-            try:
-                stage(part)
-            except BaseException as exc:  # _each raises it on the calling thread
-                done.put(exc)
-            else:
-                done.put(None)
-
-    thread = threading.Thread(target=serve, daemon=True)  # a stream left open at exit must not block it
-    thread.start()
-    try:
-        yield tasks, done
-    finally:
-        tasks.put(None)
-        thread.join()
-
-
 def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, n_steps: int,
              record: bool = False, split: bool = True) -> Iterator[tuple[Field, StepRecord | None]]:
     """Yield (u, its StepRecord if record else None) after each of steps 1..n_steps.
 
-    Each step runs under _step_state on each of its threads, whatever the caller's
-    numpy settings: a non-finite field or diagnostic raises NonFiniteError naming its
-    step. The steps run in buffers this generator owns, which hold each yielded
-    field's array: a field is valid only until the next advance. Copy what must
-    outlive it. Where _splits(grid), each solve runs its halves on this thread and on
-    a helper thread the generator owns until it ends (split=False keeps every step on
-    this thread); the iterates are bitwise the same either way. Unrecorded, each
-    step but the last forms the next one's right-hand side in its last row stage,
-    so a split step hands off twice; a record needs the whole new field and u_prev,
-    and takes the half spectrum.
+    Each step runs under _step_state on each of its threads, whatever the caller's numpy settings: a
+    non-finite field or diagnostic raises NonFiniteError naming its step. The steps run in buffers this
+    generator owns, which hold each yielded field's array: a field is valid only until the next advance.
+    Copy what must outlive it. Where grid's _splits holds, each solve runs its halves on this thread and
+    on the helper thread grid's _helper gives the generator until it ends (split=False keeps every step on
+    this thread); the iterates are bitwise the same either way. Unrecorded, each step but the last forms
+    the next one's right-hand side in its last row stage, so a split step hands off twice; a record needs
+    the whole new field and u_prev, and takes the half spectrum.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -189,8 +133,8 @@ def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, n_step
         return _imex1_rhs(model, tau, u, fs[step % 2] if bdf2 else out, out)  # BDF2 kick-starts with imex1
 
     then = None  # a step given then forms the next one's right-hand side in spec, as its last row stage
-    # the helper ends when the generator does: exhausted, closed, or raising
-    with _helper() if split and _splits(g) else contextlib.nullcontext() as helper:
+    # the helper (None where the run does not split) ends when the generator does: exhausted, closed, or raising
+    with _helper(g, split) as helper:
         for step in range(1, n_steps + 1):
             out = ring[step % 2]
             rows = None if then else rhs(step, u.values, u_prev)

@@ -225,7 +225,8 @@ def build_periodic_orbit(C: float, kappa: float, samples: int = 257) -> Periodic
     with m = (1+C)/2 and period 4*kappa*K(m), sampled on [0, period/2].
     """
     if classify(C) is not Regime.PERIODIC:
-        raise RegimeError(f"C = {C} is not in the periodic regime (-1 < C < 1)")
+        raise RegimeError(f"C = {C} is not in the periodic regime -1 + {SEPARATRIX_TOL} < C < 1 - {SEPARATRIX_TOL} "
+                          f"(within {SEPARATRIX_TOL} of -1 or 1, C is the zero or separatrix case)")
     _check_kappa(kappa)
     if samples < 5:
         raise ValueError(f"samples must be >= 5, got {samples}")

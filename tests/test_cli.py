@@ -345,6 +345,16 @@ class TestSteadyCommand:
         code = main(["steady", "--case", "periodic", "--kappa", "0.5", "--C", "1.5", "--out", str(tmp_path / "x")])
         assert code == 1
 
+    def test_near_separatrix_exit(self, tmp_path, capsys):
+        # Within SEPARATRIX_TOL of 1, C is the separatrix: the message names the band it enforces,
+        # where "-1 < C < 1" contradicted this C.
+        out = tmp_path / "x"
+        assert main(["steady", "--case", "periodic", "--C", "0.9999999999999", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: C = 0.9999999999999 is not in the periodic regime "
+                                           "-1 + 1e-12 < C < 1 - 1e-12 (within 1e-12 of -1 or 1, "
+                                           "C is the zero or separatrix case)\n")
+        assert not out.exists()
+
 
 class TestPotentialTable:
     def test_emission(self, tmp_path):

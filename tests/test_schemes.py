@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import psg.grid
 import psg.models
@@ -257,11 +257,40 @@ class TestGuarantees:
         amplitude=st.floats(0.0, np.pi),
     )
     def test_imex1_max_principle_property(self, dim, n, kappa_frac, tau, coeffs, amplitude):
-        """imex1 keeps ||u||_inf <= pi for tau <= 1 and |u0| <= pi on grids that resolve the kinks (kappa >= 5h)."""
+        """imex1 keeps ||u||_inf <= pi for tau <= 1 from smooth data with |u0| <= pi and kappa >= 5h.
+
+        kappa >= 5h is not the condition: at small tau it leaves the solve's kernel R negative lobes, and
+        sign-pattern data then exceed pi (test_one_step_sup_norm_pinned). The condition is R >= 0
+        (test_imex1_max_principle_where_kernel_nonnegative); smooth data like these stay within pi without it.
+        """
         grid = TorusGrid(dim, n)
         kappa = 5 * grid.spacing + kappa_frac * (1.0 - 5 * grid.spacing)
         u0 = trig_poly_field(grid, coeffs, amplitude)
         records = run(u0, ModelSpec(ModelKind.SINE_GORDON, kappa), SchemeKind.IMEX1, tau, 40)
+        assert not monitor_reports(records)[0].maxp.violated
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid=st.one_of(st.integers(2, 32).map(lambda half: TorusGrid(1, 2 * half)),
+                       st.integers(2, 16).map(lambda half: TorusGrid(2, 2 * half))),
+        tau=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+        stiffness=st.floats(0.0, 3.0),  # log10 of tau*kappa^2/h^2
+        data=st.sampled_from(["uniform", "signs", "clipped"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_imex1_max_principle_where_kernel_nonnegative(self, grid, tau, stiffness, data, seed):
+        # One step keeps |u| <= pi*||R||_1, which is pi where the kernel R is nonnegative; so do the steps after
+        # it. Rough data |u0| <= pi: uniform values, +-pi sign patterns (which attain the bound when R has
+        # negative lobes) and clipped noise. Measured on 202 such draws: the worst ||u||_inf - pi was 1.3e-15,
+        # the solve's rounding, which maxp's 1e-12 slack admits.
+        kappa = grid.spacing * np.sqrt(10.0**stiffness / tau)
+        kernel = np.fft.irfftn(_helmholtz_multiplier(grid, kappa, 1.0, tau), s=grid.shape, axes=range(grid.dim))
+        assume(kernel.min() >= 0.0)
+        rng = np.random.default_rng(seed)
+        values = {"uniform": lambda: rng.uniform(-np.pi, np.pi, grid.shape),
+                  "signs": lambda: np.pi * rng.choice([-1.0, 1.0], grid.shape),
+                  "clipped": lambda: np.clip(3.0 * rng.standard_normal(grid.shape), -np.pi, np.pi)}[data]()
+        records = run(Field(grid, values), ModelSpec(ModelKind.SINE_GORDON, kappa), SchemeKind.IMEX1, tau, 50)
         assert not monitor_reports(records)[0].maxp.violated
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -305,6 +334,18 @@ class TestGuarantees:
             records = run(u0, model, SchemeKind.IMEX1, tau, 200)
             assert monitor_reports(records)[0].energy.first_violation_step == first
             assert (records[0].energy <= energy(model, u0)) == (first is None)  # u0 -> u1 too
+
+    def test_bdf2_tau_threshold_pinned(self):
+        # After the imex1 kick-start, the mean mode v of u = pi + v raises bdf2's modified energy at step 2
+        # exactly when tau > 1.28402, the root of D2 = D1 with D_n = v_n^2/2 + (v_n - v_{n-1})^2/(4*tau): clean
+        # over 200 steps at tau = 1.284, first flagged at step 2 (excess 6.7e-7) at 1.285.
+        u0 = Field.constant(TorusGrid(1, 16), np.pi + 0.01)
+        model = ModelSpec(ModelKind.SINE_GORDON, 0.1)
+        clean = monitor_reports(run(u0, model, SchemeKind.BDF2, 1.284, 200))[0].modified_energy
+        assert not clean.violated
+        rising = monitor_reports(run(u0, model, SchemeKind.BDF2, 1.285, 200))[0].modified_energy
+        assert rising.first_violation_step == 2
+        assert rising.worst_excess == pytest.approx(6.7e-7, rel=0.01)
 
     def test_max_principle_fails_on_unresolved_kinks(self):
         # The discrete resolvent 1/(1 + tau*kappa^2*|k|^2) is not positivity-preserving: at
@@ -414,7 +455,7 @@ class TestRun:
         # After warm-up a step writes only into the buffers _advance owns: the
         # transforms' own scratch and the finiteness checks stay below 1.5 fields,
         # also at n=256, where each solve runs half its rows and columns on the helper.
-        monkeypatch.setattr(psg.schemes, "_cores", lambda: 2)
+        monkeypatch.setattr(psg.grid, "_cores", lambda: 2)
         grid = TorusGrid(2, n)
         u0 = Field.from_function(grid, lambda x, y: np.sin(x) * np.cos(y))
         steps = psg.schemes._advance(u0, model, scheme, 0.1, 13)
@@ -432,7 +473,7 @@ class TestRun:
         # the solve's scratch: at n=64 the multiplier's complex cast through the step's
         # 1024-value buffers (0.58-0.60 fields, 1.11 with numpy's default 8192); at n=256
         # (split) a step peaks at 0.57 fields, against 1.00 with a transient field for the record.
-        monkeypatch.setattr(psg.schemes, "_cores", lambda: 2)
+        monkeypatch.setattr(psg.grid, "_cores", lambda: 2)
         grid = TorusGrid(2, n)
         u0 = Field.from_function(grid, lambda x, y: np.sin(x) * np.cos(y))
         steps = run_steps(u0, model, scheme, 0.1, 13)
@@ -446,7 +487,7 @@ class TestRun:
         # Only the solved field is checked, once per step and row part, by the solve's last
         # row stage (the yielded Field skips its own whole-array check): a non-finite f(u)
         # reaches the solved field in the same step.
-        monkeypatch.setattr(psg.schemes, "_cores", lambda: 2)
+        monkeypatch.setattr(psg.grid, "_cores", lambda: 2)
         u0 = Field.from_function(TorusGrid(2, n), lambda x, y: np.sin(x) * np.cos(y))
         checks = []
         original = psg.grid._check_finite
@@ -472,7 +513,7 @@ class TestRun:
         # two f slots (5.5 fields in all). Both sum the right-hand side in the output
         # slot, and imex1 forms f(u) there too. At n=256 the run also holds its helper
         # thread, which adds no field.
-        monkeypatch.setattr(psg.schemes, "_cores", lambda: 2)
+        monkeypatch.setattr(psg.grid, "_cores", lambda: 2)
         grid = TorusGrid(2, n)
         u0 = Field.from_function(grid, lambda x, y: np.sin(x) * np.cos(y))
         grid._rfft_k2  # the grid caches its tables once for every run on it
@@ -494,7 +535,7 @@ class TestRun:
     def test_run_never_writes_its_input(self, scheme, n, monkeypatch, rng):
         # Sweep members share u0, which no step or record writes. A record forms its sums in
         # the half spectrum, and its modified energy reads u_prev, which must still hold it.
-        monkeypatch.setattr(psg.schemes, "_cores", lambda: 2)
+        monkeypatch.setattr(psg.grid, "_cores", lambda: 2)
         grid = TorusGrid(2, n)
         u0 = random_smooth_field(grid, rng, target_linf=3.0)
         before = u0.values.tobytes()
@@ -544,12 +585,12 @@ class TestRun:
 
 
 class TestSplitSteps:
-    """From 2^16 points on and given two cores, each 2D solve runs half its rows and columns on a helper thread."""
+    """From 176^2 points on and given two cores, each 2D solve runs half its rows and columns on a helper thread."""
 
     @staticmethod
     def stream(u0, model, scheme, record, cores, monkeypatch, n_steps=5):
         """Copies of each (u, record) _advance yields, as on a host with the given cores."""
-        monkeypatch.setattr(psg.schemes, "_cores", lambda: cores)
+        monkeypatch.setattr(psg.grid, "_cores", lambda: cores)
         baseline = threading.active_count()
         yielded = []
         for u, row in psg.schemes._advance(u0, model, scheme, 0.05, n_steps, record=record):
@@ -560,7 +601,8 @@ class TestSplitSteps:
     @pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])
     @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
     @pytest.mark.parametrize("model", [SG, AC], ids=["sg", "ac"])
-    @pytest.mark.parametrize("n", [256, 270])  # 270: halves of 135 rows, and of 68 half-spectrum columns
+    # 176: the smallest grid that splits; 270: halves of 135 rows, and of 68 half-spectrum columns
+    @pytest.mark.parametrize("n", [176, 256, 270])
     def test_split_steps_bitwise(self, n, model, scheme, record, monkeypatch, rng):
         u0 = random_smooth_field(TorusGrid(2, n), rng, target_linf=3.0)
         split = self.stream(u0, model, scheme, record, 2, monkeypatch)
@@ -599,27 +641,27 @@ class TestSplitSteps:
 
     def test_cores_without_affinity(self, monkeypatch):
         # where the platform has no affinity mask, the machine's count (or 1 when unknown)
-        monkeypatch.delattr(psg.schemes.os, "sched_getaffinity", raising=False)
+        monkeypatch.delattr(psg.grid.os, "sched_getaffinity", raising=False)
         for count, cores in ((3, 3), (None, 1)):
-            monkeypatch.setattr(psg.schemes.os, "cpu_count", lambda: count)
-            assert psg.schemes._cores() == cores
+            monkeypatch.setattr(psg.grid.os, "cpu_count", lambda: count)
+            assert psg.grid._cores() == cores
 
     def test_small_and_1d_grids_do_not_split(self, monkeypatch):
-        monkeypatch.setattr(psg.schemes, "_cores", lambda: 2)
-        assert psg.schemes._splits(TorusGrid(2, 256))
-        assert not psg.schemes._splits(TorusGrid(2, 254))  # 64516 points, below 2^16
-        assert not psg.schemes._splits(TorusGrid(1, 2**16))
-        monkeypatch.setattr(psg.schemes, "_cores", lambda: 1)
-        assert not psg.schemes._splits(TorusGrid(2, 512))
+        monkeypatch.setattr(psg.grid, "_cores", lambda: 2)
+        assert psg.grid._splits(TorusGrid(2, 256)) and psg.grid._splits(TorusGrid(2, 176))
+        assert not psg.grid._splits(TorusGrid(2, 174))  # 30276 points, below 176^2
+        assert not psg.grid._splits(TorusGrid(1, 2**16))
+        monkeypatch.setattr(psg.grid, "_cores", lambda: 1)
+        assert not psg.grid._splits(TorusGrid(2, 512))
 
     # Unrecorded, u^3 overflows at step 5 in both threads' rows; recorded, the Parseval sum
     # overflows a step earlier, in the columns of the mean mode.
     @pytest.mark.parametrize("record,step", [(False, 5), (True, 4)], ids=["unrecorded", "recorded"])
     @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
     def test_blowup_names_step_without_warnings(self, scheme, record, step, monkeypatch):
-        # The helper runs its halves under the step's np.errstate too: an overflow in
+        # The helper runs its halves under _step_state too: an overflow in
         # either thread is silent, and the finiteness checks name the step.
-        monkeypatch.setattr(psg.schemes, "_cores", lambda: 2)
+        monkeypatch.setattr(psg.grid, "_cores", lambda: 2)
         u0 = Field.from_function(TorusGrid(2, 256), lambda x, y: 2.0 + 0.5 * np.sin(x) * np.cos(y))
         baseline = threading.active_count()
         with warnings.catch_warnings():
@@ -635,7 +677,7 @@ class TestSplitSteps:
         # there, and the calling thread raises that error, naming the step, once both halves
         # are done. The column stage mixes all rows, so only a solve's last stage can leave
         # one half non-finite; the helper's irfft does so at its third call.
-        monkeypatch.setattr(psg.schemes, "_cores", lambda: 2)
+        monkeypatch.setattr(psg.grid, "_cores", lambda: 2)
         u0 = Field.from_function(TorusGrid(2, 256), lambda x, y: np.sin(x) * np.cos(y))
         original, helper_calls = np.fft.irfft, []
 
@@ -657,7 +699,7 @@ class TestSplitSteps:
         assert threading.active_count() == baseline
 
     def test_helper_ends_with_its_run(self, monkeypatch):
-        monkeypatch.setattr(psg.schemes, "_cores", lambda: 2)
+        monkeypatch.setattr(psg.grid, "_cores", lambda: 2)
         u0 = Field.from_function(TorusGrid(2, 256), lambda x, y: np.sin(x) * np.cos(y))
         baseline = threading.active_count()
         steps = psg.schemes._advance(u0, SG, SchemeKind.BDF2, 0.1, 10)
