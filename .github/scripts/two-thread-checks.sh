@@ -1,0 +1,32 @@
+#!/usr/bin/env bash
+# A 2D n=256 step splits each solve across two threads where the process may run on two CPUs;
+# pinned to one CPU (taskset -c 0) it steps on one thread. Each check below compares the two, and
+# each of its commands gets five minutes: a hand-off that deadlocked would stall until then.
+# Run from the repository root with psg installed: bash -eo pipefail .github/scripts/two-thread-checks.sh
+set -eo pipefail
+limit() { timeout 300 "$@"; }
+mkdir -p out
+
+echo "A two-thread 2D run writes the bytes of its one-core run"
+args="--model sg --scheme bdf2 --dim 2 --n 256 --kappa 0.2 --tau 0.01 --steps 20 --snap-every 10 --init pi_sin_sin"
+limit taskset -c 0 psg run $args --out out/one-core
+limit psg run $args --out out/all-cores
+for f in series.csv report.txt snap_10.psg snap_20.psg; do cmp "out/one-core/$f" "out/all-cores/$f"; done
+
+echo "A two-thread convergence fit returns its one-core slopes"
+# convergence_order steps unrecorded, so its split steps form the next step's right-hand side in
+# their last row stage; the CLI always records, so the byte check above never reaches those steps
+fit='import psg; c = psg.ExperimentConfig(psg.ModelKind.SINE_GORDON, psg.SchemeKind.IMEX1, 2, 0.2, 0.01, 256, t_final=0.08, init="pi_sin_sin"); print([repr(psg.convergence_order(c, s, 0.01, 3, 0.08)) for s in psg.SchemeKind])'
+limit taskset -c 0 python -c "$fit" > out/fit-one-core.txt
+limit python -c "$fit" > out/fit-all-cores.txt
+cmp out/fit-one-core.txt out/fit-all-cores.txt
+
+echo "A split 2D blow-up exits 2"
+# bdf2 at tau = 1000: the record's potential energy overflows at step 5 (about 0.1 s) on the calling
+# thread, and the run must end its helper and exit, not hang
+args="--model ac --scheme bdf2 --dim 2 --n 256 --kappa 0.2 --tau 1000 --steps 20 --init sin_sin"
+for pin in "" "taskset -c 0"; do
+  code=0
+  limit $pin psg run $args --out "out/split-blowup${pin:+-one-core}" || code=$?
+  test "$code" -eq 2
+done

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import INIT_PRESETS, ExperimentConfig, initial_field
 from .diagnostics import MonitorReports, monitor_reports, stability_sweep
-from .grid import NonFiniteError, _check_positive
+from .grid import NonFiniteError, _all_positive, _check_positive
 from .models import ModelKind
 from .schemes import SchemeKind, StepRecord, run_steps
 from .steady_states import Regime, SteadyStateCase, build_periodic_orbit, kink_eval, residual
@@ -162,7 +162,7 @@ def cmd_sweep(args) -> int:
         taus = [float(tok) for tok in args.tau_list.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"--tau-list must be comma-separated numbers, got {args.tau_list!r}")
-    if not taus or not all(0.0 < t < np.inf for t in taus):
+    if not taus or not _all_positive(taus):
         raise ValueError(f"--tau-list entries must all be finite and > 0, got {args.tau_list!r}")
 
     # any listed tau will do: stability_sweep runs each for config.steps_for(tau) steps, recording a bad one

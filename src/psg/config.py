@@ -10,7 +10,7 @@ import numpy as np
 
 from .grid import Field, TorusGrid, _check_positive
 from .models import ModelKind, ModelSpec
-from .schemes import SchemeKind
+from .schemes import _MAX_STEPS, SchemeKind, _check_steps
 
 __all__ = ["ExperimentConfig", "INIT_PRESETS", "initial_field"]
 
@@ -24,9 +24,6 @@ INIT_PRESETS: dict[str, tuple[int, Callable[..., np.ndarray]]] = {
 
 # Relative tolerance for t_final / tau being an integer.
 _COMMENSURATE_RTOL = 1e-9
-# The most steps one run may take: over five hours even at 1D n=256 (~20 us a step). A longer
-# run is a mistyped --tfinal or --steps, and would otherwise step for years before failing.
-_MAX_STEPS = 10**9
 
 
 @dataclass(frozen=True)
@@ -55,10 +52,8 @@ class ExperimentConfig:
             raise ValueError("exactly one of t_final / n_steps must be given")
         if self.t_final is not None:
             _check_positive("t_final", self.t_final)
-        elif self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        elif self.n_steps > _MAX_STEPS:
-            raise ValueError(f"n_steps must be <= {_MAX_STEPS}, got {self.n_steps}")
+        else:
+            _check_steps(self.n_steps)
         # Fail fast on bad grid/model parameters.
         TorusGrid(self.dim, self.n_per_axis)
         ModelSpec(self.model_kind, self.kappa)

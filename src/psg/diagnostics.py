@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .config import ExperimentConfig, _steps_to, initial_field
-from .grid import _check_positive, _cores
+from .grid import _all_positive, _check_positive, _cores
 from .schemes import SchemeKind, StepRecord, _advance
 
 __all__ = [
@@ -124,7 +124,7 @@ def stability_sweep(config: ExperimentConfig, tau_values: Sequence[float]) -> Sw
     taus = tuple(float(t) for t in tau_values)
     if not taus:
         raise ValueError("tau_values must be nonempty")
-    if not all(0.0 < t < np.inf for t in taus):
+    if not _all_positive(taus):
         raise ValueError(f"tau_values must all be finite and > 0, got {taus}")
 
     u0 = initial_field(config)  # one field for every member: runs never write their u0
@@ -152,7 +152,7 @@ def fit_order(taus: Sequence[float], errors: Sequence[float]) -> float:
     if len(taus) != len(errors) or len(taus) < 2:
         raise ValueError("need at least two (tau, error) pairs")
     for name, values in (("taus", taus), ("errors", errors)):
-        if not np.all((0.0 < values) & (values < np.inf)):
+        if not _all_positive(values):
             raise ValueError(f"{name} must all be finite and > 0 to fit a slope, got {values}")
     if not taus.min() < taus.max():
         raise ValueError(f"need at least two distinct taus, got {taus}")

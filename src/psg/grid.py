@@ -42,6 +42,12 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
+def _all_positive(values) -> bool:
+    """Whether every entry of values is finite and > 0, _check_positive's rule for a list (NaN fails)."""
+    values = np.asarray(values, dtype=np.float64)
+    return bool(np.all((0.0 < values) & (values < np.inf)))
+
+
 def _check_kappa(kappa: float) -> None:
     """_check_positive for kappa, which every operator and energy also squares.
 
@@ -217,7 +223,7 @@ def _apply_multiplier(grid: TorusGrid, values, mult: np.ndarray, spec=None, out=
 def _check_finite(values: np.ndarray) -> None:
     """NonFiniteError unless every entry of values is finite (a Field's values, or a solve's row range)."""
     if not np.all(np.isfinite(values)):
-        raise NonFiniteError("field contains non-finite values")
+        raise NonFiniteError("non-finite field values")
 
 
 def _scale_columns(grid: TorusGrid, spec: np.ndarray, mult: np.ndarray, power, cols) -> None:

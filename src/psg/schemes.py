@@ -30,6 +30,19 @@ __all__ = [
 ]
 
 
+# The most steps one run may take: over five hours even at 1D n=256 (~20 us a step). A longer
+# run is a mistyped --tfinal or --steps, and would otherwise step for years before failing.
+_MAX_STEPS = 10**9
+
+
+def _check_steps(n_steps: int) -> None:
+    """ValueError unless 1 <= n_steps <= _MAX_STEPS."""
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if n_steps > _MAX_STEPS:
+        raise ValueError(f"n_steps must be <= {_MAX_STEPS}, got {n_steps}")
+
+
 class SchemeKind(enum.Enum):
     IMEX1 = "imex1"
     BDF2 = "bdf2"
@@ -102,7 +115,7 @@ def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, n_step
     """Yield (u, its StepRecord if record else None) after each of steps 1..n_steps.
 
     Each step runs under _step_state on each of its threads, whatever the caller's numpy settings: a
-    non-finite field or diagnostic raises NonFiniteError naming its step. The steps run in buffers this
+    non-finite field or diagnostic raises NonFiniteError naming it and its step. The steps run in buffers this
     generator owns, which hold each yielded field's array: a field is valid only until the next advance.
     Copy what must outlive it. Where grid's _splits holds, each solve runs its halves on this thread and
     on the helper thread grid's _helper gives the generator until it ends (split=False keeps every step on
@@ -110,8 +123,7 @@ def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, n_step
     the next one's right-hand side in its last row stage, so a split step hands off twice; a record needs
     the whole new field and u_prev, and takes the half spectrum.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    _check_steps(n_steps)
     _check_positive("tau", tau)
     g, bdf2 = u0.grid, scheme is SchemeKind.BDF2
     u, u_prev = u0, None
@@ -146,7 +158,7 @@ def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, n_step
                     u_next, gradient = _apply_multiplier(g, rows, mult, spec, out, record, helper, then)
                     row = _record(model, tau, step, u_next, u, gradient, scratch) if record else None
             except NonFiniteError as exc:
-                raise NonFiniteError(f"non-finite field values at step {step}") from exc
+                raise NonFiniteError(f"{exc} at step {step}") from exc
             u, u_prev = u_next, u.values
             if bdf2 and step == 1:  # from step 2 on bdf2 solves with a = 3/2
                 _helmholtz_multiplier(g, model.kappa, 1.5, tau, out=mult)

@@ -52,6 +52,7 @@ __all__ = [
 # C values within this tolerance of +-1 are snapped to the separatrix /
 # zero case so roundoff cannot misclassify an orbit.
 SEPARATRIX_TOL = 1e-12
+_REFLECT_TOL = 1e-8  # reflect_extend's tolerance on a branch's endpoint condition, in the units of u
 
 
 class Regime(enum.Enum):
@@ -242,18 +243,13 @@ def build_periodic_orbit(C: float, kappa: float, samples: int = 257) -> Periodic
     return PeriodicOrbit(case, period, np.linspace(0.0, period / 2.0, samples), u)
 
 
-def reflect_extend(
-    x: np.ndarray,
-    u: np.ndarray,
-    mode: Reflection,
-    tol: float = 1e-8,
-) -> tuple[np.ndarray, np.ndarray]:
+def reflect_extend(x: np.ndarray, u: np.ndarray, mode: Reflection) -> tuple[np.ndarray, np.ndarray]:
     """Mirror a sampled branch about its left endpoint, extending leftward.
 
     EVEN requires h*u'(x[0]) ~ 0 at sample spacing h and produces
     u(x0 - s) = u(x0 + s); ODD requires u(x[0]) ~ 0 and produces
     u(x0 - s) = -u(x0 + s). Both endpoint conditions are in the units of u,
-    checked to tolerance tol; a violation raises ReflectionError. Returns
+    checked to tolerance 1e-8; a violation raises ReflectionError. Returns
     the extended (x, u), 2*len(x) - 1 points.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -262,13 +258,13 @@ def reflect_extend(
         raise ValueError("x and u must be equal-length 1D arrays with >= 5 samples")
     if mode is Reflection.EVEN:
         # 4th-order one-sided estimate of h*u'(x0), with no division by h: a slope grows as 1/h on
-        # narrow orbits, and a 2nd-order estimate cannot certify a ~zero change to tol on moderate grids.
+        # narrow orbits, and a 2nd-order estimate cannot certify a ~zero change to 1e-8 on moderate grids.
         endpoint_change = (-25.0 * u[0] + 48.0 * u[1] - 36.0 * u[2] + 16.0 * u[3] - 3.0 * u[4]) / 12.0
-        if not abs(endpoint_change) <= tol:  # NaN fails too
+        if not abs(endpoint_change) <= _REFLECT_TOL:  # NaN fails too
             raise ReflectionError(f"even reflection needs h*u'(x0) ~ 0, got {endpoint_change:.3e}")
         mirrored = u[:0:-1]
     elif mode is Reflection.ODD:
-        if not abs(u[0]) <= tol:
+        if not abs(u[0]) <= _REFLECT_TOL:
             raise ReflectionError(f"odd reflection needs u(x0) ~ 0, got {u[0]:.3e}")
         mirrored = -u[:0:-1]
     else:

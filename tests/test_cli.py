@@ -211,7 +211,7 @@ class TestRunCommand:
         out = tmp_path / "ovf"
         argv = _run_argv(kappa="1.3e154", tau="1e-320", length=("--steps", "2"))
         assert main([*argv, "--out", str(out), "--monitors", "energy"]) == 2
-        assert capsys.readouterr().err == "runtime failure: non-finite field values at step 1\n"
+        assert capsys.readouterr().err == "runtime failure: energy is not finite at step 1\n"
         assert read_series(out / "series.csv") == []
         assert not (out / "report.txt").exists()
 

@@ -23,6 +23,7 @@ from psg import (
     TorusGrid,
     energy,
     helmholtz_solve,
+    laplacian,
     modified_energy,
     monitor_reports,
     nonlinearity,
@@ -156,6 +157,18 @@ class TestPreconditions:
         with pytest.raises(ValueError, match="^tau must be finite and > 0"):
             calls[entry]()
 
+    @pytest.mark.parametrize("entry", ["run_steps", "run"])
+    def test_run_length_capped(self, entry, monkeypatch):
+        # the 10^9-step bound every ExperimentConfig enforces holds for library runs too, before any step
+        monkeypatch.setattr(psg.schemes, "_apply_multiplier", lambda *args: pytest.fail("a step was taken"))
+        u = Field.zeros(TorusGrid(1, 32))
+        calls = {
+            "run_steps": lambda: next(run_steps(u, SG, SchemeKind.IMEX1, 0.1, 10**9 + 1)),
+            "run": lambda: run(u, SG, SchemeKind.IMEX1, 0.1, 10**9 + 1),
+        }
+        with pytest.raises(ValueError, match="^n_steps must be <= 1000000000, got 1000000001$"):
+            calls[entry]()
+
 
 class TestSymmetries:
     @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
@@ -246,6 +259,39 @@ class TestGuarantees:
         assert not monitor_reports(records)[0].energy.violated
         # the u0 -> u1 comparison is not in the series; check it directly
         assert records[0].energy <= energy(model, u0) + 1e-10 * (1 + abs(energy(model, u0)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid=st.sampled_from([TorusGrid(1, n) for n in (4, 8, 16, 32)] + [TorusGrid(2, n) for n in (4, 8, 16)]),
+        tau=st.floats(0.0, 2.0, exclude_min=True),
+        kappa=st.floats(0.05, 1.0),
+        center=st.one_of(st.sampled_from([0.0, np.pi, -np.pi]), st.floats(-6.0, 6.0)),
+        spread=st.floats(0.0, 12.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_imex1_energy_inequality_property(self, grid, tau, kappa, center, spread, seed):
+        """One imex1 step: E(u1) - E(u0) <= -(1/tau - 1/2)||d||^2 - (kappa^2/2)||grad d||^2, d = u1 - u0.
+
+        The scheme's inner product with d, a Taylor expansion of F = cos with |F''| <= 1 and
+        2<grad u1, grad d> = ||grad u1||^2 - ||grad u0||^2 + ||grad d||^2 give it for any tau > 0.
+        The left side is formed without cancellation: the integral of cos u1 - cos u0 as
+        -2 sin((u1+u0)/2) sin(d/2), and ||grad u1||^2 - ||grad u0||^2 as -<u1 + u0, Lap d>. Both
+        sides are taken times tau, so 1/tau never overflows. The slack is absolute, 4 eps times
+        what one rounding of u1's entries can move each term by: (1 + max|u0| + max|u1|) times
+        integral(|d| + tau*(|d| + kappa^2 |Lap d|)). Once d is roundoff (tau below about eps) the
+        sides differ by that much; over 32000 random steps the difference was at most 1.0 eps of it.
+        """
+        u0 = np.clip(center + spread * np.random.default_rng(seed).uniform(-1.0, 1.0, grid.shape), -6.0, 6.0)
+        model = ModelSpec(ModelKind.SINE_GORDON, kappa)
+        u1 = next(run_steps(Field(grid, u0), model, SchemeKind.IMEX1, tau, 1))[0].values
+        d = u1 - u0
+        lap_d = laplacian(Field(grid, d)).values
+        h = grid.spacing**grid.dim
+        change = tau * h * np.sum(-2.0 * np.sin(0.5 * (u1 + u0)) * np.sin(0.5 * d) - 0.5 * kappa**2 * (u1 + u0) * lap_d)
+        bound = -h * np.sum((1.0 - 0.5 * tau) * d * d - 0.5 * tau * kappa**2 * d * lap_d)
+        scale = (1.0 + np.max(np.abs(u0)) + np.max(np.abs(u1))) * h * np.sum(
+            np.abs(d) + tau * (np.abs(d) + kappa**2 * np.abs(lap_d)))
+        assert change <= bound + 4.0 * np.finfo(float).eps * scale
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -654,11 +700,13 @@ class TestSplitSteps:
         monkeypatch.setattr(psg.grid, "_cores", lambda: 1)
         assert not psg.grid._splits(TorusGrid(2, 512))
 
-    # Unrecorded, u^3 overflows at step 5 in both threads' rows; recorded, the Parseval sum
-    # overflows a step earlier, in the columns of the mean mode.
-    @pytest.mark.parametrize("record,step", [(False, 5), (True, 4)], ids=["unrecorded", "recorded"])
+    # Unrecorded, u^3 overflows at step 5 in both threads' rows; recorded, the potential energy's
+    # sum of (u^2 - 1)^2/4 overflows a step earlier, where |u| reaches about 2e143.
+    @pytest.mark.parametrize("record,failure", [(False, "non-finite field values at step 5"),
+                                                (True, "potential energy is not finite at step 4")],
+                             ids=["unrecorded", "recorded"])
     @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
-    def test_blowup_names_step_without_warnings(self, scheme, record, step, monkeypatch):
+    def test_blowup_names_step_without_warnings(self, scheme, record, failure, monkeypatch):
         # The helper runs its halves under _step_state too: an overflow in
         # either thread is silent, and the finiteness checks name the step.
         monkeypatch.setattr(psg.grid, "_cores", lambda: 2)
@@ -666,7 +714,7 @@ class TestSplitSteps:
         baseline = threading.active_count()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(NonFiniteError, match=rf"^non-finite field values at step {step}$"):
+            with pytest.raises(NonFiniteError, match=rf"^{failure}$"):
                 for _ in psg.schemes._advance(u0, AC, scheme, 1e3, 50, record=record):
                     pass
         assert threading.active_count() == baseline
