@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import INIT_PRESETS, ExperimentConfig, initial_field
 from .diagnostics import MonitorReports, monitor_reports, stability_sweep
-from .grid import NonFiniteError, _all_positive, _check_positive
+from .grid import _DIMS, NonFiniteError, _all_positive, _check_positive
 from .models import ModelKind
 from .schemes import SchemeKind, StepRecord, run_steps
 from .steady_states import Regime, SteadyStateCase, build_periodic_orbit, kink_eval, residual
@@ -27,9 +27,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_run_arguments(p: argparse.ArgumentParser, with_tau: bool) -> None:
-    p.add_argument("--model", choices=["sg", "ac"], required=True)
-    p.add_argument("--scheme", choices=["imex1", "bdf2"], required=True)
-    p.add_argument("--dim", type=int, choices=[1, 2], required=True)
+    p.add_argument("--model", choices=[kind.value for kind in ModelKind], required=True)
+    p.add_argument("--scheme", choices=[kind.value for kind in SchemeKind], required=True)
+    p.add_argument("--dim", type=int, choices=_DIMS, required=True)
     p.add_argument("--kappa", type=float, required=True)
     if with_tau:
         p.add_argument("--tau", type=float, required=True)

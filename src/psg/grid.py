@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 
+_DIMS = (1, 2)  # the supported dimensions: TorusGrid's, a snapshot's and the CLI's --dim
+
+
 class NonFiniteError(ValueError):
     """A field contains NaN or Inf entries."""
 
@@ -72,7 +75,7 @@ class TorusGrid:
     n_per_axis: int
 
     def __post_init__(self) -> None:
-        if self.dim not in (1, 2):
+        if self.dim not in _DIMS:
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         n = self.n_per_axis
         if n < 4 or n % 2 != 0:

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .grid import Field, TorusGrid
+from .grid import _DIMS, Field, TorusGrid
 from .models import ModelKind, potential_values
 from .schemes import StepRecord
 
@@ -77,7 +77,7 @@ def read_snapshot(path) -> tuple[Field, float, float]:
     version, dim = struct.unpack_from("<HH", raw, 4)
     if version != SNAPSHOT_VERSION:
         raise SnapshotFormatError(f"unsupported version {version} at offset 4")
-    if dim not in (1, 2):
+    if dim not in _DIMS:
         raise SnapshotFormatError(f"unsupported dimension {dim} at offset 6")
     offset = 8
     need(4 * dim, offset, "axis sizes")
