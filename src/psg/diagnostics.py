@@ -13,7 +13,9 @@ exact only in exact arithmetic.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import collections
+import contextlib
+import threading
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -113,13 +115,15 @@ class SweepResult:
 def stability_sweep(config: ExperimentConfig, tau_values: Sequence[float]) -> SweepResult:
     """Run the configured experiment once per tau and attach monitor reports.
 
-    Runs are independent and executed on a thread pool with one worker per
-    available core (the CPUs this process may run on), at most one per tau.
-    Two or more workers fill the cores, so their runs do not split their
-    steps across threads; results are deterministic and independent of
-    scheduling. Each tau runs config.steps_for(tau) steps. A failure for
-    one tau (such as not dividing t_final) is recorded and does not abort
-    the others; a bad initial field raises before any run starts.
+    Runs are independent and run on the calling thread plus one thread per
+    further available core (the CPUs this process may run on), at most one
+    thread per tau, each taking the next tau in input order when it is free.
+    Two or more threads fill the cores, so their runs step unsplit; results
+    are deterministic and independent of scheduling. Each tau runs
+    config.steps_for(tau) steps. A failure for one tau (such as not dividing
+    t_final) is recorded and does not abort the others; a bad initial field
+    raises before any run starts, and a KeyboardInterrupt starts no further
+    run and is raised once every thread has ended.
     """
     taus = tuple(float(t) for t in tau_values)
     if not taus:
@@ -140,8 +144,24 @@ def stability_sweep(config: ExperimentConfig, tau_values: Sequence[float]) -> Sw
             return None, float("nan"), f"{type(exc).__name__}: {exc}"
         return reports, last.energy, None
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        reports, energies, errors = zip(*pool.map(one, taus))
+    todo, results = collections.deque(range(len(taus))), [None] * len(taus)  # tau indices in input order
+
+    def work() -> None:
+        with contextlib.suppress(IndexError):  # until none is left; a deque's popleft is thread-safe
+            while True:
+                i = todo.popleft()
+                results[i] = one(taus[i])
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()  # the calling thread is a worker too
+    finally:  # after a KeyboardInterrupt in the calling thread, no thread starts another tau
+        todo.clear()
+        for thread in threads:
+            thread.join()
+    reports, energies, errors = zip(*results)
     return SweepResult(taus, reports, energies, errors)
 
 

@@ -1,5 +1,9 @@
 """Monitors, stability sweeps, and convergence-order estimation."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -159,7 +163,7 @@ class TestStabilitySweep:
         assert monitor_reports(records) == monitor_reports(records)
 
     def test_parallelism_does_not_change_results(self):
-        # Members run concurrently on the pool; each equals its standalone run.
+        # Members run concurrently, on the calling thread and one more per core; each equals its standalone run.
         taus = [0.5, 1.0, 2.0]
         config = demo_config(t_final=10.0)
         sweep = stability_sweep(config, taus)
@@ -201,7 +205,7 @@ class TestStabilitySweep:
 
     @pytest.mark.parametrize("cores,taus,split", [(2, [0.1, 0.2], False), (2, [0.1], True), (1, [0.1, 0.2], True)])
     def test_members_split_only_alone(self, cores, taus, split, monkeypatch):
-        # Two or more pool workers fill the cores, so their members step unsplit; a lone
+        # Two or more worker threads fill the cores, so their members step unsplit; a lone
         # worker's member may split its steps (where the grid is large enough).
         seen = []
 
@@ -214,6 +218,101 @@ class TestStabilitySweep:
         assert sweep.errors == (None,) * len(taus)
         assert seen == [split] * len(taus)
 
+    @pytest.mark.parametrize("cores", [2, 1])
+    def test_members_run_on_the_calling_thread_and_one_per_further_core(self, cores, monkeypatch):
+        # The first member of each thread waits until every thread holds one, so with two cores the
+        # calling thread and one worker each take a member; the first tau's member then finishes
+        # last, and each result still lands at its tau's index.
+        taus = [0.1, 0.2, 0.3]
+        ran = []  # (tau, thread ident) per member, in start order
+        both = threading.Barrier(cores)
+
+        def advance(u0, model, scheme, tau, *args, **kwargs):
+            ran.append((tau, threading.get_ident()))
+            if len(ran) <= cores:
+                both.wait(timeout=30)
+            if tau == taus[0]:
+                time.sleep(0.05)
+            return psg.schemes._advance(u0, model, scheme, tau, *args, **kwargs)
+        monkeypatch.setattr(psg.diagnostics, "_cores", lambda: cores)
+        monkeypatch.setattr(psg.diagnostics, "_advance", advance)
+        config = demo_config(n_per_axis=16, t_final=None, n_steps=3)
+        baseline = threading.active_count()
+        sweep = stability_sweep(config, taus)
+        assert threading.active_count() == baseline
+        assert sorted(tau for tau, _ in ran) == taus
+        threads = {ident for _, ident in ran}
+        assert len(threads) == cores and threading.get_ident() in threads
+        u0 = initial_field(config)
+        for tau, reports, final_energy in zip(taus, sweep.reports, sweep.final_energies):
+            expected, last = monitor_reports(run(u0, config.model, config.scheme, tau, 3))
+            assert (reports, final_energy) == (expected, last.energy)
+
+    def test_each_tau_runs_once_under_fast_switching(self, monkeypatch):
+        # More threads than cores take tau indices from one deque while the interpreter switches
+        # threads every microsecond: a tau taken twice or lost, or a result stored at another
+        # index, would change the counts or the result.
+        taus = [0.05 * k for k in range(1, 13)]
+        config = demo_config(n_per_axis=16, t_final=None, n_steps=2)
+        started = []
+
+        def advance(u0, model, scheme, tau, *args, **kwargs):
+            started.append(tau)
+            return psg.schemes._advance(u0, model, scheme, tau, *args, **kwargs)
+        monkeypatch.setattr(psg.diagnostics, "_advance", advance)
+        monkeypatch.setattr(psg.diagnostics, "_cores", lambda: 1)
+        expected = stability_sweep(config, taus)
+        monkeypatch.setattr(psg.diagnostics, "_cores", lambda: 4)
+        started.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sweep = stability_sweep(config, taus)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(started) == taus
+        assert sweep == expected
+
+    def test_interrupt_starts_no_further_member(self, monkeypatch):
+        # A KeyboardInterrupt in the calling thread's member lets the worker finish the member it
+        # holds, starts none of the taus left, leaves no thread running and reaches the caller.
+        taus = [0.1, 0.2, 0.3, 0.4]
+        started, worker_started, interrupted = [], threading.Event(), threading.Event()
+        caller = threading.get_ident()
+
+        def advance(u0, model, scheme, tau, *args, **kwargs):
+            started.append(tau)
+            if threading.get_ident() == caller:
+                assert worker_started.wait(timeout=30)
+                interrupted.set()
+                raise KeyboardInterrupt
+            worker_started.set()
+            assert interrupted.wait(timeout=30)
+            time.sleep(0.05)  # the calling thread gets to its cleanup first
+            return psg.schemes._advance(u0, model, scheme, tau, *args, **kwargs)
+        monkeypatch.setattr(psg.diagnostics, "_cores", lambda: 2)
+        monkeypatch.setattr(psg.diagnostics, "_advance", advance)
+        baseline = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            stability_sweep(demo_config(n_per_axis=16, t_final=None, n_steps=3), taus)
+        assert threading.active_count() == baseline
+        assert sorted(started) == taus[:2]
+
+    @pytest.mark.parametrize("cores", [2, 1])
+    def test_caller_errstate_does_not_reach_members(self, cores, monkeypatch):
+        # Members step under their own numpy state, also on the calling thread: under
+        # np.errstate(all="raise") the Allen-Cahn cube of 1e-200 amplitudes would raise on underflow.
+        config = demo_config(model_kind=ModelKind.ALLEN_CAHN, n_per_axis=32, t_final=None, n_steps=5)
+        u0 = Field.from_function(config.grid, lambda x: 1e-200 * np.sin(x))
+        monkeypatch.setattr(psg.diagnostics, "initial_field", lambda config: u0)
+        monkeypatch.setattr(psg.diagnostics, "_cores", lambda: cores)
+        taus = [0.1, 0.5]
+        expected = stability_sweep(config, taus)
+        assert expected.errors == (None, None)
+        with np.errstate(all="raise"):
+            assert stability_sweep(config, taus) == expected
+            assert np.geterr()["under"] == "raise"  # the caller's state again
+
     def test_bad_initial_field_raises_before_runs(self):
         with pytest.raises(ValueError, match="init preset 'pi_sin_sin' is 2D"):
             stability_sweep(demo_config(init="pi_sin_sin"), [0.5, 1.0])
@@ -225,7 +324,7 @@ class TestStabilitySweep:
             config = demo_config(n_per_axis=16, t_final=None, n_steps=steps)
             return traced_peak(lambda: stability_sweep(config, [0.1]))
 
-        peak(5)  # warm-up: grid tables, the pool's first thread
+        peak(5)  # warm-up: grid tables
         assert peak(2000) - peak(200) < 32 * 1024
 
     def test_input_validation(self):

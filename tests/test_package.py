@@ -1,6 +1,9 @@
 """The package namespace and metadata: each declared once, in the modules and in psg/__init__.py."""
 
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -24,3 +27,13 @@ def test_pyproject_version_is_the_package_version():
     pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
     config = pyprojecttoml.read_configuration(Path(__file__).resolve().parents[1] / "pyproject.toml", expand=True)
     assert config["project"]["version"] == psg.__version__
+
+
+def test_cli_import_loads_no_executor_or_logging():
+    """psg's threads are plain threading.Threads, so a fresh `import psg.cli` loads neither module."""
+    src = str(Path(psg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    check = "import sys, psg.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, timeout=60, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
