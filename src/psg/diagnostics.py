@@ -137,7 +137,7 @@ def stability_sweep(config: ExperimentConfig, tau_values: Sequence[float]) -> Sw
 
     def one(tau: float) -> tuple[MonitorReports | None, float, str | None]:
         try:
-            steps = _advance(u0, config.model, config.scheme, tau, config.steps_for(tau),
+            steps = _advance(u0.grid, u0.values, config.model, config.scheme, tau, config.steps_for(tau),
                              record=True, split=workers < 2)
             reports, last = monitor_reports(row for _, row in steps)
         except Exception as exc:  # recorded per tau, others keep running
@@ -203,9 +203,9 @@ def convergence_order(
     u0 = initial_field(config)
 
     def final_values(tau: float, n_steps: int) -> np.ndarray:
-        for u, _ in _advance(u0, config.model, scheme, tau, n_steps):  # keeps only the last step
+        for u, _ in _advance(u0.grid, u0.values, config.model, scheme, tau, n_steps):  # keeps only the last step
             pass
-        return u.values.copy()  # the generator's buffer, valid only until it advances
+        return u.copy()  # the generator's buffer, valid only until it advances
 
     u_ref = final_values(tau_ref, step_counts[-1])
     errors = [float(np.max(np.abs(final_values(tau, steps) - u_ref))) for tau, steps in zip(taus, step_counts)]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import os
 import queue
 import threading
@@ -75,6 +76,9 @@ class TorusGrid:
     n_per_axis: int
 
     def __post_init__(self) -> None:
+        for name in ("dim", "n_per_axis"):  # numpy integers pass; a float size would fail later, in shape
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.dim not in _DIMS:
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         n = self.n_per_axis
@@ -145,14 +149,16 @@ class TorusGrid:
 class Field:
     """Real-valued grid function, stored row-major with axis 0 = x.
 
-    Values are always float64 and finite; construction rejects NaN/Inf so
-    a blow-up surfaces as soon as an operation produces one.
+    Values are always real float64 and finite; construction rejects complex
+    values, and NaN/Inf so a blow-up surfaces as soon as an operation produces one.
     """
 
     grid: TorusGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        if np.iscomplexobj(self.values):  # a float64 cast would drop the imaginary parts
+            raise ValueError(f"values must be real, got dtype {np.asarray(self.values).dtype}")
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape != self.grid.shape:
             raise ValueError(f"values shape {v.shape} does not match grid shape {self.grid.shape}")
@@ -182,8 +188,15 @@ class Field:
         return float(np.max(np.abs(self.values)))
 
 
+def _field(grid: TorusGrid, values: np.ndarray) -> Field:
+    """A Field around a solve's array, which it checked row by row: the one constructor that skips __post_init__."""
+    field = object.__new__(Field)
+    field.__dict__.update(grid=grid, values=values)
+    return field
+
+
 def _apply_multiplier(grid: TorusGrid, values, mult: np.ndarray, spec=None, out=None, gradient=False,
-                      helper=None, then=None) -> tuple[Field, float | None]:
+                      helper=None, then=None) -> tuple[np.ndarray, float | None]:
     """values times mult (in out if given), and with gradient=True the result's -integral(v * Lap v) by Parseval.
 
     values is an array, or a function of a row range that forms those rows of the input and returns them;
@@ -218,9 +231,7 @@ def _apply_multiplier(grid: TorusGrid, values, mult: np.ndarray, spec=None, out=
     _each(helper, cols, lambda c: _scale_columns(grid, spec, mult, power, c))
     total = None if power is None else float(power.sum()) * grid.spacing**grid.dim / grid.size
     _each(helper, rows, inverse)
-    field = object.__new__(Field)  # each row range is checked: skip __post_init__'s check of the whole
-    field.__dict__.update(grid=grid, values=out)
-    return field, total
+    return out, total
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -320,14 +331,14 @@ def _helper(grid: TorusGrid, split: bool) -> Iterator[tuple[queue.SimpleQueue, q
 
 def laplacian(f: Field) -> Field:
     """Spectral Laplacian: coefficient at k scaled by -|k|^2."""
-    return _apply_multiplier(f.grid, f.values, -f.grid._rfft_k2)[0]
+    return _field(f.grid, _apply_multiplier(f.grid, f.values, -f.grid._rfft_k2)[0])
 
 
 def first_derivative(f: Field, axis: int = 0) -> Field:
     """Spectral first derivative along one axis (multiplier i*k, Nyquist zeroed)."""
     if not 0 <= axis < f.grid.dim:
         raise ValueError(f"axis {axis} out of range for dim {f.grid.dim}")
-    return _apply_multiplier(f.grid, f.values, f.grid._rfft_deriv[axis])[0]
+    return _field(f.grid, _apply_multiplier(f.grid, f.values, f.grid._rfft_deriv[axis])[0])
 
 
 def helmholtz_solve(rhs: Field, kappa: float, a: float, b: float) -> Field:
@@ -337,7 +348,7 @@ def helmholtz_solve(rhs: Field, kappa: float, a: float, b: float) -> Field:
     scheme with a=1, b=tau and the two-step scheme with a=3/2, b=tau.
     Requires a > 0 (otherwise the operator kills constants) and b >= 0.
     """
-    return _apply_multiplier(rhs.grid, rhs.values, _helmholtz_multiplier(rhs.grid, kappa, a, b))[0]
+    return _field(rhs.grid, _apply_multiplier(rhs.grid, rhs.values, _helmholtz_multiplier(rhs.grid, kappa, a, b))[0])
 
 
 def _helmholtz_multiplier(grid: TorusGrid, kappa: float, a: float, b: float, out=None) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Field, NonFiniteError, _apply_multiplier, _check_kappa, _check_positive
+from .grid import Field, NonFiniteError, TorusGrid, _apply_multiplier, _check_kappa, _check_positive
 
 __all__ = [
     "ModelKind",
@@ -96,16 +96,13 @@ def energy(model: ModelSpec, u: Field) -> float:
     discrete energy the schemes dissipate. NonFiniteError if it is not finite
     (say, when kappa^2 times the gradient term overflows).
     """
-    return _energy(model, u, _apply_multiplier(u.grid, u.values, 1.0, gradient=True)[1])
+    return _energy(model, u.grid, u.values, _apply_multiplier(u.grid, u.values, 1.0, gradient=True)[1])
 
 
-def _energy(model: ModelSpec, u: Field, gradient: float, out: np.ndarray | None = None) -> float:
-    """energy(model, u) from gradient = -integral(u * Lap u), as _apply_multiplier takes it of u's spectrum.
-
-    The potential is summed in out (a field-sized scratch; a fresh array if None).
-    """
-    g = u.grid
-    total = g.spacing**g.dim * _potential_sum(model.kind, u.values, out) + 0.5 * model.kappa**2 * gradient
+def _energy(model: ModelSpec, grid: TorusGrid, u: np.ndarray, gradient: float, out=None) -> float:
+    """energy of the array u on grid from gradient = -integral(u * Lap u), as _apply_multiplier takes it of u's
+    spectrum; the potential is summed in out (a field-sized scratch; a fresh array if None)."""
+    total = grid.spacing**grid.dim * _potential_sum(model.kind, u, out) + 0.5 * model.kappa**2 * gradient
     return _finite(total, "energy")
 
 
@@ -141,15 +138,15 @@ def modified_energy(model: ModelSpec, u_curr: Field, u_prev: Field, tau: float) 
     if u_curr.grid != u_prev.grid:
         raise ValueError("u_curr and u_prev live on different grids")
     _check_positive("tau", tau)
-    return _finite(energy(model, u_curr) + _increment_energy(u_curr, u_prev, tau), "modified energy")
+    return _finite(energy(model, u_curr) + _increment_energy(u_curr.grid, u_curr.values, u_prev.values, tau),
+                   "modified energy")
 
 
-def _increment_energy(u_curr: Field, u_prev: Field, tau: float, out: np.ndarray | None = None) -> float:
-    """(1/(4*tau)) * ||u_curr - u_prev||^2, the term modified_energy adds to E(u_curr); formed in out, as _energy."""
-    g = u_curr.grid
-    step = np.subtract(u_curr.values, u_prev.values, out=out)
+def _increment_energy(grid: TorusGrid, u_curr: np.ndarray, u_prev: np.ndarray, tau: float, out=None) -> float:
+    """(1/(4*tau)) * ||u_curr - u_prev||^2 on grid, modified_energy's term past E(u_curr); in out, as _energy."""
+    step = np.subtract(u_curr, u_prev, out=out)
     np.square(step, out=step)
-    return g.spacing**g.dim * _finite(float(step.sum()), "increment energy") / (4.0 * tau)
+    return grid.spacing**grid.dim * _finite(float(step.sum()), "increment energy") / (4.0 * tau)
 
 
 def rescale_general_to_standard(p: GeneralModelParams) -> StandardForm:

@@ -18,8 +18,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .grid import (Field, NonFiniteError, _apply_multiplier, _block, _check_positive, _helmholtz_multiplier,
-                   _helper, _step_state)
+from .grid import (Field, NonFiniteError, TorusGrid, _apply_multiplier, _block, _check_positive, _field,
+                   _helmholtz_multiplier, _helper, _step_state)
 from .models import ModelSpec, _energy, _finite, _increment_energy, _reaction
 
 __all__ = [
@@ -95,47 +95,44 @@ def _bdf2_rhs(model: ModelSpec, tau: float, u: np.ndarray, u_prev: np.ndarray, f
     return rows_of
 
 
-def _record(model: ModelSpec, tau: float, step: int, u: Field, u_prev: Field, gradient: float,
-            scratch: np.ndarray) -> StepRecord:
-    """The StepRecord of u, its sums formed in the field-sized scratch."""
-    increment = _increment_energy(u, u_prev, tau, scratch)
-    e = _energy(model, u, gradient, scratch)
+def _record(model: ModelSpec, grid: TorusGrid, tau: float, step: int, u: np.ndarray, u_prev: np.ndarray,
+            gradient: float, scratch: np.ndarray) -> StepRecord:
+    """The StepRecord of the array u on grid, its sums formed in the field-sized scratch."""
+    increment = _increment_energy(grid, u, u_prev, tau, scratch)
+    e = _energy(model, grid, u, gradient, scratch)
     return StepRecord(
         step_index=step,
         t=step * tau,
         energy=e,
         modified_energy=_finite(e + increment, "modified energy"),
-        u_min=u.min(),
-        u_max=u.max(),
+        u_min=float(u.min()),
+        u_max=float(u.max()),
     )
 
 
-def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, n_steps: int,
-             record: bool = False, split: bool = True) -> Iterator[tuple[Field, StepRecord | None]]:
-    """Yield (u, its StepRecord if record else None) after each of steps 1..n_steps.
+def _advance(grid: TorusGrid, u0: np.ndarray, model: ModelSpec, scheme: SchemeKind, tau: float, n_steps: int,
+             record: bool = False, split: bool = True) -> Iterator[tuple[np.ndarray, StepRecord | None]]:
+    """Yield (u, its StepRecord if record else None) after each of steps 1..n_steps from the array u0 on grid.
 
-    Each step runs under _step_state on each of its threads, whatever the caller's numpy settings: a
-    non-finite field or diagnostic raises NonFiniteError naming it and its step. The steps run in buffers this
-    generator owns, which hold each yielded field's array: a field is valid only until the next advance.
-    Copy what must outlive it. Where grid's _splits holds, each solve runs its halves on this thread and
-    on the helper thread grid's _helper gives the generator until it ends (split=False keeps every step on
-    this thread); the iterates are bitwise the same either way. Unrecorded, each step but the last forms
-    the next one's right-hand side in its last row stage, so a split step hands off twice; a record needs
-    the whole new field and u_prev, and takes the half spectrum.
+    Each step runs under _step_state on each of its threads, whatever the caller's numpy settings: a non-finite
+    field or diagnostic raises NonFiniteError naming it and its step. Each u is one of the two ring arrays this
+    generator owns, valid only until the next advance. Where _splits(grid) holds, each solve runs its halves on
+    this thread and on the helper thread _helper gives the generator until it ends (split=False keeps every step
+    on this thread), bitwise the same. Unrecorded, each step but the last forms the next one's right-hand side
+    in its last row stage, so a split step hands off twice; a record needs the whole new field and u_prev.
     """
     _check_steps(n_steps)
     _check_positive("tau", tau)
-    g, bdf2 = u0.grid, scheme is SchemeKind.BDF2
-    u, u_prev = u0, None
+    u, u_prev, bdf2 = u0, None, scheme is SchemeKind.BDF2
     # Step s writes ring[s % 2]: never u's slot; for bdf2 it is u_prev's, which
     # _bdf2_rhs reads before it writes there (u0 stays outside the ring).
-    ring = [np.empty(g.shape) for _ in range(2)]
+    ring = [np.empty(grid.shape) for _ in range(2)]
     # bdf2 carries f(u) to the next step in fs[s % 2]; imex1 forms f in its output slot
-    fs = [np.empty(g.shape) for _ in range(2)] if bdf2 else None
-    spec = np.empty(g._rfft_k2.shape, dtype=np.complex128)
+    fs = [np.empty(grid.shape) for _ in range(2)] if bdf2 else None
+    spec = np.empty(grid._rfft_k2.shape, dtype=np.complex128)
     # a record forms its sums in the half spectrum, free from the end of a solve to the next step's row stage
-    scratch = _block(spec, g.shape)
-    mult = _helmholtz_multiplier(g, model.kappa, 1.0, tau)
+    scratch = _block(spec, grid.shape)
+    mult = _helmholtz_multiplier(grid, model.kappa, 1.0, tau)
 
     def rhs(step, u, u_prev):
         """The row function of step's right-hand side, from the arrays u and u_prev (None at step 1)."""
@@ -146,22 +143,22 @@ def _advance(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, n_step
 
     then = None  # a step given then forms the next one's right-hand side in spec, as its last row stage
     # the helper (None where the run does not split) ends when the generator does: exhausted, closed, or raising
-    with _helper(g, split) as helper:
+    with _helper(grid, split) as helper:
         for step in range(1, n_steps + 1):
             out = ring[step % 2]
-            rows = None if then else rhs(step, u.values, u_prev)
+            rows = None if then else rhs(step, u, u_prev)
             # the next step's u is this one's out and its u_prev this one's u, which no row reads after its rfft
-            then = rhs(step + 1, out, u.values) if not record and step < n_steps else None
+            then = rhs(step + 1, out, u) if not record and step < n_steps else None
             try:  # the block closes before the yield: the caller's code between steps keeps its own numpy state
                 with np.errstate():
                     _step_state()
-                    u_next, gradient = _apply_multiplier(g, rows, mult, spec, out, record, helper, then)
-                    row = _record(model, tau, step, u_next, u, gradient, scratch) if record else None
+                    u_next, gradient = _apply_multiplier(grid, rows, mult, spec, out, record, helper, then)
+                    row = _record(model, grid, tau, step, u_next, u, gradient, scratch) if record else None
             except NonFiniteError as exc:
                 raise NonFiniteError(f"{exc} at step {step}") from exc
-            u, u_prev = u_next, u.values
+            u, u_prev = u_next, u
             if bdf2 and step == 1:  # from step 2 on bdf2 solves with a = 3/2
-                _helmholtz_multiplier(g, model.kappa, 1.5, tau, out=mult)
+                _helmholtz_multiplier(grid, model.kappa, 1.5, tau, out=mult)
             yield u, row
 
 
@@ -169,12 +166,13 @@ def run_steps(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float,
               n_steps: int) -> Iterator[tuple[Field, StepRecord]]:
     """Yield (u, record) after each of steps 1..n_steps, u being the step's new field.
 
-    u's array lives in the stepper's buffers and stays valid only until the
-    next step: copy what must outlive it. Aborts with NonFiniteError naming
+    u wraps an array of the stepper's, not a copy, and stays valid only until
+    the next step: copy what must outlive it. Aborts with NonFiniteError naming
     the first bad step if any iterate or its diagnostics stop being finite.
     Deterministic given identical inputs.
     """
-    return _advance(u0, model, scheme, tau, n_steps, record=True)
+    for u, record in _advance(u0.grid, u0.values, model, scheme, tau, n_steps, record=True):
+        yield _field(u0.grid, u), record  # the solve checked each row range
 
 
 def run(u0: Field, model: ModelSpec, scheme: SchemeKind, tau: float, n_steps: int) -> list[StepRecord]:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, TorusGrid, _check_kappa, _check_positive, first_derivative, laplacian
+from .grid import Field, TorusGrid, _apply_multiplier, _check_kappa, _check_positive
 
 __all__ = [
     "Regime",
@@ -277,9 +277,9 @@ def reflect_extend(x: np.ndarray, u: np.ndarray, mode: Reflection) -> tuple[np.n
 def _periodic_derivative(u: np.ndarray, spacing: float, order: int, kappa: float = 1.0) -> np.ndarray:
     """kappa^order times the spectral derivative (order 1 or 2) of one period of samples: the grid's
     operator times (kappa * grid spacing / spacing)^order, O(1) where the spacing ratio alone overflows."""
-    f = Field(TorusGrid(1, len(u)), u)
-    d = first_derivative(f) if order == 1 else laplacian(f)
-    return d.values * (kappa * f.grid.spacing / spacing) ** order
+    grid = TorusGrid(1, len(u))
+    d = _apply_multiplier(grid, u, grid._rfft_deriv[0] if order == 1 else -grid._rfft_k2)[0]
+    return d * (kappa * grid.spacing / spacing) ** order
 
 
 def residual(u, kappa: float, *, spacing: float | None = None, periodic: bool | None = None) -> float:

@@ -227,13 +227,13 @@ class TestStabilitySweep:
         ran = []  # (tau, thread ident) per member, in start order
         both = threading.Barrier(cores)
 
-        def advance(u0, model, scheme, tau, *args, **kwargs):
+        def advance(grid, u0, model, scheme, tau, *args, **kwargs):
             ran.append((tau, threading.get_ident()))
             if len(ran) <= cores:
                 both.wait(timeout=30)
             if tau == taus[0]:
                 time.sleep(0.05)
-            return psg.schemes._advance(u0, model, scheme, tau, *args, **kwargs)
+            return psg.schemes._advance(grid, u0, model, scheme, tau, *args, **kwargs)
         monkeypatch.setattr(psg.diagnostics, "_cores", lambda: cores)
         monkeypatch.setattr(psg.diagnostics, "_advance", advance)
         config = demo_config(n_per_axis=16, t_final=None, n_steps=3)
@@ -256,9 +256,9 @@ class TestStabilitySweep:
         config = demo_config(n_per_axis=16, t_final=None, n_steps=2)
         started = []
 
-        def advance(u0, model, scheme, tau, *args, **kwargs):
+        def advance(grid, u0, model, scheme, tau, *args, **kwargs):
             started.append(tau)
-            return psg.schemes._advance(u0, model, scheme, tau, *args, **kwargs)
+            return psg.schemes._advance(grid, u0, model, scheme, tau, *args, **kwargs)
         monkeypatch.setattr(psg.diagnostics, "_advance", advance)
         monkeypatch.setattr(psg.diagnostics, "_cores", lambda: 1)
         expected = stability_sweep(config, taus)
@@ -280,7 +280,7 @@ class TestStabilitySweep:
         started, worker_started, interrupted = [], threading.Event(), threading.Event()
         caller = threading.get_ident()
 
-        def advance(u0, model, scheme, tau, *args, **kwargs):
+        def advance(grid, u0, model, scheme, tau, *args, **kwargs):
             started.append(tau)
             if threading.get_ident() == caller:
                 assert worker_started.wait(timeout=30)
@@ -289,7 +289,7 @@ class TestStabilitySweep:
             worker_started.set()
             assert interrupted.wait(timeout=30)
             time.sleep(0.05)  # the calling thread gets to its cleanup first
-            return psg.schemes._advance(u0, model, scheme, tau, *args, **kwargs)
+            return psg.schemes._advance(grid, u0, model, scheme, tau, *args, **kwargs)
         monkeypatch.setattr(psg.diagnostics, "_cores", lambda: 2)
         monkeypatch.setattr(psg.diagnostics, "_advance", advance)
         baseline = threading.active_count()

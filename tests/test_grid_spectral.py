@@ -29,6 +29,7 @@ from psg import (
 import psg.grid
 import psg.models
 import psg.schemes
+import psg.steady_states
 from psg.grid import _apply_multiplier, _helmholtz_multiplier
 from psg.models import _energy
 from conftest import random_smooth_field
@@ -59,6 +60,14 @@ class TestTorusGrid:
         with pytest.raises(ValueError):
             TorusGrid(dim, n)
 
+    def test_non_integer_sizes_rejected(self):
+        # a float size passed the checks, then shape or Field.zeros raised TypeError
+        for dim, n in ((1, 8.0), (1.0, 8)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                TorusGrid(dim, n)
+        grid = TorusGrid(np.int64(2), np.int32(8))  # numpy integers pass
+        assert Field.zeros(grid).values.shape == (8, 8)
+
     def test_value_equality(self):
         assert TorusGrid(2, 64) == TorusGrid(2, 64)
         assert TorusGrid(1, 64) != TorusGrid(1, 128)
@@ -70,6 +79,11 @@ class TestField:
             Field(TorusGrid(1, 8), np.zeros(9))
         with pytest.raises(ValueError):
             Field(TorusGrid(2, 8), np.zeros(8))
+
+    def test_complex_values_rejected(self):
+        # a float64 cast kept only the real parts (1.0 here), with numpy's ComplexWarning
+        with pytest.raises(ValueError, match="complex128"):
+            Field(TorusGrid(1, 8), np.ones(8) * (1 + 1j))
 
     def test_non_finite_rejected(self):
         values = np.zeros(8)
@@ -118,7 +132,7 @@ class TestTransforms:
             raise AssertionError("a transform other than _apply_multiplier's stages ran")
 
         apply_multiplier = psg.grid._apply_multiplier
-        for module in (psg.grid, psg.models, psg.schemes):
+        for module in (psg.grid, psg.models, psg.schemes, psg.steady_states):
             monkeypatch.setattr(module, "_apply_multiplier", inside)
         for name in ("rfft", "fft", "ifft", "irfft"):
             monkeypatch.setattr(np.fft, name, staged(getattr(np.fft, name)))
@@ -279,9 +293,9 @@ class TestHelmholtz:
         axes = tuple(range(dim))
         for mult in (_helmholtz_multiplier(grid, 0.3, 1.5, 0.1), -grid._rfft_k2, grid._rfft_deriv[-1]):
             expected = np.fft.irfftn(np.fft.rfftn(v, axes=axes) * mult, s=grid.shape, axes=axes).tobytes()
-            assert _apply_multiplier(grid, v, mult)[0].values.tobytes() == expected
+            assert _apply_multiplier(grid, v, mult)[0].tobytes() == expected
             spec, out = np.empty(grid._rfft_k2.shape, dtype=np.complex128), np.empty(grid.shape)
-            assert _apply_multiplier(grid, v, mult, spec, out)[0].values.tobytes() == expected
+            assert _apply_multiplier(grid, v, mult, spec, out)[0].tobytes() == expected
 
     def test_apply_multiplier_allocates_no_half_spectrum(self):
         # A step's solve at 2D n=256: the inverse runs in spec, where irfftn's column
@@ -323,6 +337,7 @@ class TestHelmholtz:
         assert np.max(np.abs(helmholtz_solve(forward, kappa, a, b).values - u.values)) <= 1e-12 * u.linf()
         mult = _helmholtz_multiplier(grid, kappa, a, b)
         solved, gradient = _apply_multiplier(grid, u.values, mult, gradient=True)
+        solved = Field(grid, solved)  # the public operators and energy take Fields
         recovered = a * solved.values - b * kappa**2 * laplacian(solved).values
         assert np.max(np.abs(recovered - u.values)) <= 1e-12 * u.linf()
 
@@ -332,7 +347,7 @@ class TestHelmholtz:
             potential = integrate(Field(grid, potential_values(kind, solved.values)))
             # relative to the sum of the terms' magnitudes, as sine-Gordon's may cancel
             scale = integrate(Field(grid, np.abs(potential_values(kind, solved.values)))) + abs(reference - potential)
-            assert abs(_energy(model, solved, gradient) - reference) <= 1e-12 * scale
+            assert abs(_energy(model, grid, solved.values, gradient) - reference) <= 1e-12 * scale
 
 
 class TestIntegrate:

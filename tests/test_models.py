@@ -139,7 +139,7 @@ class TestPotentials:
             with pytest.raises(NonFiniteError, match="potential"):
                 _potential_sum(AC, big.values)
             with pytest.raises(NonFiniteError, match="increment"):
-                _increment_energy(big, small, 0.1)
+                _increment_energy(grid, big.values, small.values, 0.1)
 
 
 class TestEnergy:
@@ -232,7 +232,7 @@ class TestModifiedEnergy:
         u_curr, u_prev = random_smooth_field(grid, rng), random_smooth_field(grid, rng)
         out = np.empty(grid.shape)
         expected = integrate(Field(grid, (u_curr.values - u_prev.values) ** 2)) / (4.0 * 0.3)
-        assert _increment_energy(u_curr, u_prev, 0.3, out) == expected
+        assert _increment_energy(grid, u_curr.values, u_prev.values, 0.3, out) == expected
         assert np.array_equal(out, (u_curr.values - u_prev.values) ** 2)
 
     def test_mismatched_grids_rejected(self):

@@ -164,7 +164,7 @@ class TestPreconditions:
         # unchecked, the error named the Helmholtz multiplier's b instead of tau
         u = Field.zeros(TorusGrid(1, 32))
         calls = {
-            "_advance": lambda: next(psg.schemes._advance(u, SG, SchemeKind.IMEX1, tau, 3)),
+            "_advance": lambda: next(psg.schemes._advance(u.grid, u.values, SG, SchemeKind.IMEX1, tau, 3)),
             "run": lambda: run(u, SG, SchemeKind.IMEX1, tau, 3),
         }
         with pytest.raises(ValueError, match="^tau must be finite and > 0"):
@@ -455,6 +455,32 @@ class TestGuarantees:
             assert monitor_reports(records)[0].energy.first_violation_step == first
             assert (records[0].energy <= energy(model, u0)) == (first is None)  # u0 -> u1 too
 
+    def test_sg_max_principle_tau_bound_is_sharp(self):
+        # g(u) = u + tau*sin u is nondecreasing exactly when tau <= 1. From the constant at g's critical
+        # point arccos(-1/tau), one imex1 step gives g's maximum arccos(-1/tau) + sqrt(tau^2 - 1): pi exactly
+        # at tau = 1, where maxp stays silent, and past pi at tau = 1.01, where maxp fires at step 1.
+        grid, model = TorusGrid(1, 16), ModelSpec(ModelKind.SINE_GORDON, 0.1)
+        records = run(Field.constant(grid, math.acos(-1.0)), model, SchemeKind.IMEX1, 1.0, 3)
+        assert records[0].linf == np.pi
+        assert not monitor_reports(records)[0].maxp.violated
+        tau = 1.01
+        records = run(Field.constant(grid, math.acos(-1.0 / tau)), model, SchemeKind.IMEX1, tau, 3)
+        assert monitor_reports(records)[0].maxp.first_violation_step == 1
+        closed_form = math.acos(-1.0 / tau) + math.sqrt(tau**2 - 1.0) - np.pi
+        assert abs(records[0].linf - np.pi - closed_form) <= 1e-12
+        assert records[0].linf - np.pi == pytest.approx(9.385952211609e-4, rel=1e-12)
+
+    def test_ac_max_principle_tau_bound_is_sharp(self):
+        # Allen-Cahn's L = sup(-f') on [-1, 1] is 2, so the bound 1 holds for tau <= 1/2: g(u) = u + tau*(u - u^3)
+        # peaks at c = sqrt((1 + tau)/(3*tau)), inside [-1, 1] exactly when tau >= 1/2. One imex1 step from that
+        # constant gives g(c): 1 exactly at tau = 1/2, and past 1 at tau = 0.51.
+        grid, model = TorusGrid(1, 16), ModelSpec(ModelKind.ALLEN_CAHN, 0.1)
+        for tau, excess in ((0.5, 0.0), (0.51, 6.550257511306e-5)):
+            c = math.sqrt((1.0 + tau) / (3.0 * tau))
+            records = run(Field.constant(grid, c), model, SchemeKind.IMEX1, tau, 3)
+            assert abs(records[0].linf - 1.0 - (c + tau * (c - c**3) - 1.0)) <= 1e-12
+            assert records[0].linf - 1.0 == pytest.approx(excess, rel=1e-12, abs=0.0)  # exactly 1 at tau = 1/2
+
     def test_bdf2_tau_threshold_pinned(self):
         # After the imex1 kick-start, the mean mode v of u = pi + v raises bdf2's modified energy at step 2
         # exactly when tau > 1.28402, the root of D2 = D1 with D_n = v_n^2/2 + (v_n - v_{n-1})^2/(4*tau): clean
@@ -512,7 +538,7 @@ class TestRun:
             return nonlinearity(SG.kind, Field(grid, values)).values
 
         records = run(u0, SG, SchemeKind.BDF2, tau, 15)
-        steps = psg.schemes._advance(u0, SG, SchemeKind.BDF2, tau, 15)
+        steps = psg.schemes._advance(u0.grid, u0.values, SG, SchemeKind.BDF2, tau, 15)
         prev, curr = None, u0.values
         for record, (u, row) in zip(records, steps, strict=True):  # u is valid only inside the loop
             if prev is None:  # the imex1 kick-start
@@ -522,13 +548,36 @@ class TestRun:
             solved, gradient = _apply_multiplier(grid, rhs, _helmholtz_multiplier(grid, SG.kappa, a, tau),
                                                  gradient=True)
             assert row is None  # an unrecorded stream
-            assert np.array_equal(solved.values, u.values)
-            assert record.energy == psg.models._energy(SG, u, gradient)
+            assert np.array_equal(solved, u)
+            assert record.energy == psg.models._energy(SG, grid, u, gradient)
+            u = Field(grid, u)  # the public energies take Fields
             assert record.energy == pytest.approx(energy(SG, u), rel=1e-12)
             assert record.modified_energy == pytest.approx(modified_energy(SG, u, Field(grid, curr), tau), rel=1e-12)
             assert record.linf == u.linf()
             prev, curr = curr, u.values.copy()
         assert len(records) == 15
+
+    def test_stepper_yields_arrays_and_run_steps_wraps_them(self, monkeypatch):
+        # Inside, a solve returns the array it solved into and the step loop yields that ring slot;
+        # run_steps wraps the very slot in a Field, with no copy and no second whole-array check.
+        grid = TorusGrid(1, 16)
+        u0 = Field.from_function(grid, np.sin)
+        spec, out = np.empty(grid._rfft_k2.shape, dtype=np.complex128), np.empty(grid.shape)
+        assert _apply_multiplier(grid, u0.values, -grid._rfft_k2, spec, out)[0] is out
+        steps = psg.schemes._advance(grid, u0.values, SG, SchemeKind.BDF2, 0.1, 3)
+        ring = [next(steps)[0] for _ in range(3)]
+        assert all(type(u) is np.ndarray for u in ring)
+        assert ring[0] is ring[2] and ring[1] is not ring[0]
+        inits, post_init = [], Field.__post_init__
+
+        def counted(field):
+            inits.append(field)
+            post_init(field)
+        monkeypatch.setattr(Field, "__post_init__", counted)
+        fields = [u for u, _ in run_steps(u0, SG, SchemeKind.BDF2, 0.1, 3)]
+        assert inits == []  # after u0, no Field runs __post_init__
+        assert fields[0].values is fields[2].values and fields[1].values is not fields[0].values
+        assert all(type(u.values) is np.ndarray and u.grid is grid for u in fields)
 
     @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
     def test_consumer_keeps_its_numpy_error_settings(self, scheme):
@@ -564,7 +613,7 @@ class TestRun:
             counted(np.fft, name)
         counted(psg.schemes, "_reaction")
         u0 = Field.from_function(TorusGrid(2, 16), lambda x, y: np.sin(x) * np.cos(y))
-        rows = [row for _, row in psg.schemes._advance(u0, SG, scheme, 0.1, 7, record=record)]
+        rows = [row for _, row in psg.schemes._advance(u0.grid, u0.values, SG, scheme, 0.1, 7, record=record)]
         assert len(rows) == 7 and all((row is not None) == record for row in rows)
         assert counts == {"rfft": 7, "fft": 7, "ifft": 7, "irfft": 7, "rfftn": 0, "irfftn": 0, "_reaction": 7}
 
@@ -578,7 +627,7 @@ class TestRun:
         monkeypatch.setattr(psg.grid, "_cores", lambda: 2)
         grid = TorusGrid(2, n)
         u0 = Field.from_function(grid, lambda x, y: np.sin(x) * np.cos(y))
-        steps = psg.schemes._advance(u0, model, scheme, 0.1, 13)
+        steps = psg.schemes._advance(u0.grid, u0.values, model, scheme, 0.1, 13)
         assert peak_fields_after_warmup(grid, lambda: next(steps)) <= 1.5
 
     @pytest.mark.parametrize("scheme", [SchemeKind.IMEX1, SchemeKind.BDF2])
@@ -616,7 +665,7 @@ class TestRun:
             checks.append(values.shape)
             original(values)
         monkeypatch.setattr(psg.grid, "_check_finite", counted)
-        steps = psg.schemes._advance(u0, SG, scheme, 0.1, 10)
+        steps = psg.schemes._advance(u0.grid, u0.values, SG, scheme, 0.1, 10)
         for _ in range(10):
             next(steps)
         assert checks == [(n // parts, n)] * (10 * parts)
@@ -640,8 +689,8 @@ class TestRun:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            steps = psg.schemes._advance(u0, SG, scheme, 0.1, 3)
-            yielded = [next(steps)[0].values for _ in range(3)]
+            steps = psg.schemes._advance(u0.grid, u0.values, SG, scheme, 0.1, 3)
+            yielded = [next(steps)[0] for _ in range(3)]
             held = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
@@ -660,7 +709,8 @@ class TestRun:
         u0 = random_smooth_field(grid, rng, target_linf=3.0)
         before = u0.values.tobytes()
         prev = u0.values.copy()
-        for u, record in psg.schemes._advance(u0, SG, scheme, 0.1, 5, record=True):
+        for u, record in psg.schemes._advance(u0.grid, u0.values, SG, scheme, 0.1, 5, record=True):
+            u = Field(grid, u)  # modified_energy takes Fields
             assert (record.u_min, record.u_max) == (u.min(), u.max())
             assert record.modified_energy == pytest.approx(modified_energy(SG, u, Field(grid, prev), 0.1), rel=1e-12)
             prev = u.values.copy()
@@ -691,7 +741,8 @@ class TestRun:
         # finite energies, but a step of 1 over tau = 1e-320 overflows the increment term
         grid = TorusGrid(1, 16)
         with pytest.raises(NonFiniteError, match="^modified energy is not finite$"):
-            psg.schemes._record(SG, 1e-320, 1, Field.constant(grid, 1.0), Field.zeros(grid), 0.0, np.empty(grid.shape))
+            psg.schemes._record(SG, grid, 1e-320, 1, np.ones(grid.shape), np.zeros(grid.shape), 0.0,
+                                np.empty(grid.shape))
 
     def test_non_finite_abort_names_step(self):
         grid = TorusGrid(1, 64)
@@ -713,9 +764,9 @@ class TestSplitSteps:
         monkeypatch.setattr(psg.grid, "_cores", lambda: cores)
         baseline = threading.active_count()
         yielded = []
-        for u, row in psg.schemes._advance(u0, model, scheme, 0.05, n_steps, record=record):
+        for u, row in psg.schemes._advance(u0.grid, u0.values, model, scheme, 0.05, n_steps, record=record):
             assert threading.active_count() == baseline + (cores > 1)  # the run's one helper, if it splits
-            yielded.append((u.values.tobytes(), repr(row)))
+            yielded.append((u.tobytes(), repr(row)))
         return yielded
 
     @pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])
@@ -789,7 +840,7 @@ class TestSplitSteps:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NonFiniteError, match=rf"^{failure}$"):
-                for _ in psg.schemes._advance(u0, AC, scheme, 1e3, 50, record=record):
+                for _ in psg.schemes._advance(u0.grid, u0.values, AC, scheme, 1e3, 50, record=record):
                     pass
         assert threading.active_count() == baseline
 
@@ -815,7 +866,7 @@ class TestSplitSteps:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NonFiniteError, match=r"^non-finite field values at step 3$"):
-                for _ in psg.schemes._advance(u0, SG, scheme, 0.1, 10):
+                for _ in psg.schemes._advance(u0.grid, u0.values, SG, scheme, 0.1, 10):
                     pass
         assert helper_calls == [(128, 256)] * 3
         assert threading.active_count() == baseline
@@ -824,11 +875,14 @@ class TestSplitSteps:
         monkeypatch.setattr(psg.grid, "_cores", lambda: 2)
         u0 = Field.from_function(TorusGrid(2, 256), lambda x, y: np.sin(x) * np.cos(y))
         baseline = threading.active_count()
-        steps = psg.schemes._advance(u0, SG, SchemeKind.BDF2, 0.1, 10)
-        next(steps)
-        assert threading.active_count() == baseline + 1
-        steps.close()  # closed early
-        assert threading.active_count() == baseline
-        for _ in psg.schemes._advance(u0, SG, SchemeKind.IMEX1, 0.1, 3):  # exhausted
-            pass
-        assert threading.active_count() == baseline
+        # run_steps wraps _advance's stream in a generator of its own, whose close must end the helper too
+        for stream in (lambda *args: psg.schemes._advance(u0.grid, u0.values, *args),
+                       lambda *args: run_steps(u0, *args)):
+            steps = stream(SG, SchemeKind.BDF2, 0.1, 10)
+            next(steps)
+            assert threading.active_count() == baseline + 1
+            steps.close()  # closed early
+            assert threading.active_count() == baseline
+            for _ in stream(SG, SchemeKind.IMEX1, 0.1, 3):  # exhausted
+                pass
+            assert threading.active_count() == baseline
