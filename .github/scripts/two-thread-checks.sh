@@ -7,11 +7,15 @@ set -eo pipefail
 limit() { timeout 300 "$@"; }
 mkdir -p out
 
-echo "A two-thread 2D run writes the bytes of its one-core run"
-args="--model sg --scheme bdf2 --dim 2 --n 256 --kappa 0.2 --tau 0.01 --steps 20 --snap-every 10 --init pi_sin_sin"
-limit taskset -c 0 psg run $args --out out/one-core
-limit psg run $args --out out/all-cores
-for f in series.csv report.txt snap_10.psg snap_20.psg; do cmp "out/one-core/$f" "out/all-cores/$f"; done
+echo "A two-thread 2D run writes the bytes of its one-core run, for each model"
+# bdf2 carries f(u) in one field, and each thread writes f's rows of its own half
+for model_init in "sg pi_sin_sin" "ac sin_sin"; do
+  set -- $model_init
+  args="--model $1 --scheme bdf2 --dim 2 --n 256 --kappa 0.2 --tau 0.01 --steps 20 --snap-every 10 --init $2"
+  limit taskset -c 0 psg run $args --out "out/one-core-$1"
+  limit psg run $args --out "out/all-cores-$1"
+  for f in series.csv report.txt snap_10.psg snap_20.psg; do cmp "out/one-core-$1/$f" "out/all-cores-$1/$f"; done
+done
 
 echo "A two-thread convergence fit returns its one-core slopes"
 # convergence_order steps unrecorded, so its split steps form the next step's right-hand side in

@@ -52,6 +52,14 @@ def _all_positive(values) -> bool:
     return bool(np.all((0.0 < values) & (values < np.inf)))
 
 
+def _real(values, name: str) -> np.ndarray:
+    """values as a float64 array, or ValueError naming name and the dtype for complex values, whose imaginary
+    parts the cast would drop."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} must be real, got dtype {np.asarray(values).dtype}")
+    return np.asarray(values, dtype=np.float64)
+
+
 def _check_kappa(kappa: float) -> None:
     """_check_positive for kappa, which every operator and energy also squares.
 
@@ -117,20 +125,30 @@ class TorusGrid:
             return (self.nodes,)
         return tuple(np.meshgrid(self.nodes, self.nodes, indexing="ij"))
 
-    # -- cached multiplier tables in the half-complex (rfft) layout --------
+    # -- multiplier tables in the half-complex (rfft) layout. A grid caches the weighted |k|^2 a recorded
+    # step reads and the derivatives' i*k, but not |k|^2: a run forms it once, in its multiplier's buffer.
 
-    @cached_property
-    def _rfft_k2(self) -> np.ndarray:
-        k = self.wavenumbers.astype(np.float64)
+    @property
+    def _rfft_shape(self) -> tuple[int, ...]:
+        """The half spectrum's shape: the last axis keeps its n/2 + 1 wavenumbers >= 0."""
+        return self.shape[:-1] + (self.n_per_axis // 2 + 1,)
+
+    def _squared_wavenumbers(self, out=None) -> np.ndarray:
+        """|k|^2 in the rfft layout (in out if given): exact integers, so any later scaling rounds once."""
         kr = np.fft.rfftfreq(self.n_per_axis) * self.n_per_axis
         if self.dim == 1:
-            return kr**2
-        return (k**2)[:, None] + (kr**2)[None, :]
+            return np.square(kr, out=out)
+        return np.add(np.square(self.wavenumbers.astype(np.float64))[:, None], np.square(kr), out=out)
+
+    # formed afresh on each read (laplacian's, the periodic derivative's): no grid keeps this half field
+    _rfft_k2 = property(_squared_wavenumbers)
 
     @cached_property
     def _rfft_wk2(self) -> np.ndarray:
-        # |k|^2 times the Parseval weight: columns 0 and n/2 have no conjugate twin
-        return np.r_[1.0, np.full(self.n_per_axis // 2 - 1, 2.0), 1.0] * self._rfft_k2
+        # |k|^2 times the Parseval weight (columns 0 and n/2 have no conjugate twin), which each recorded step reads
+        wk2 = self._rfft_k2
+        wk2 *= np.r_[1.0, np.full(self.n_per_axis // 2 - 1, 2.0), 1.0]
+        return wk2
 
     @cached_property
     def _rfft_deriv(self) -> tuple[np.ndarray, ...]:
@@ -157,9 +175,7 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if np.iscomplexobj(self.values):  # a float64 cast would drop the imaginary parts
-            raise ValueError(f"values must be real, got dtype {np.asarray(self.values).dtype}")
-        v = np.asarray(self.values, dtype=np.float64)
+        v = _real(self.values, "values")
         if v.shape != self.grid.shape:
             raise ValueError(f"values shape {v.shape} does not match grid shape {self.grid.shape}")
         _check_finite(v)
@@ -209,7 +225,7 @@ def _apply_multiplier(grid: TorusGrid, values, mult: np.ndarray, spec=None, out=
     shape. Without one, each stage runs over the whole range.
     """
     mult = np.asarray(mult)
-    spec = np.empty(grid._rfft_k2.shape, dtype=np.complex128) if spec is None else spec
+    spec = np.empty(grid._rfft_shape, dtype=np.complex128) if spec is None else spec
     out = np.empty(grid.shape) if out is None else out
     if helper is None:
         rows = cols = (...,)
@@ -226,9 +242,14 @@ def _apply_multiplier(grid: TorusGrid, values, mult: np.ndarray, spec=None, out=
         rows_of = values if callable(values) else values.__getitem__
         _each(helper, rows, lambda r: np.fft.rfft(rows_of(r), axis=-1, out=spec[r]))
     # the Parseval terms go in out, free from the row stage's end until the inverse: one buffer of the half
-    # spectrum's shape, which each column part fills in its columns and which is summed whole
-    power = _block(out, spec.shape) if gradient else None
-    _each(helper, cols, lambda c: _scale_columns(grid, spec, mult, power, c))
+    # spectrum's shape, which each column part fills in its columns and which is summed whole, and past it
+    # the squared imaginary parts, as many whole spectrum rows at a time as the rest of out holds
+    power = squares = None
+    if gradient:
+        power = _block(out, spec.shape)
+        rows_free = (out.size - spec.size) // math.prod(spec.shape[1:])
+        squares = _block(out, (min(len(spec), rows_free),) + spec.shape[1:], start=spec.size)
+    _each(helper, cols, lambda c: _scale_columns(grid, spec, mult, power, squares, c))
     total = None if power is None else float(power.sum()) * grid.spacing**grid.dim / grid.size
     _each(helper, rows, inverse)
     return out, total
@@ -240,24 +261,28 @@ def _check_finite(values: np.ndarray) -> None:
         raise NonFiniteError("non-finite field values")
 
 
-def _scale_columns(grid: TorusGrid, spec: np.ndarray, mult: np.ndarray, power, cols) -> None:
+def _scale_columns(grid: TorusGrid, spec: np.ndarray, mult: np.ndarray, power, squares, cols) -> None:
     """The column stage over columns cols of the half spectrum, in place: fft, times mult (and, given power,
-    the Parseval terms |k|^2-weighted into power's columns), ifft."""
+    the Parseval terms |k|^2-weighted into power's columns, their squared imaginary parts formed in those
+    columns of squares, a few rows at a time), ifft."""
     part = spec[cols]
     if grid.dim == 2:
         np.fft.fft(part, axis=0, out=part)
     part *= mult[cols]
     if power is not None:
-        terms = np.square(part.real, out=power[cols])
-        terms += np.square(part.imag)
+        terms, scratch = np.square(part.real, out=power[cols]), squares[cols]
+        for start in range(0, len(part), len(scratch)):
+            imag = part.imag[start:start + len(scratch)]
+            terms[start:start + len(imag)] += np.square(imag, out=scratch[:len(imag)])
         terms *= grid._rfft_wk2[cols]
     if grid.dim == 2:
         np.fft.ifft(part, axis=0, out=part)
 
 
-def _block(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The first math.prod(shape) float64 values of the contiguous array buf, as one contiguous array of that shape."""
-    return buf.view(np.float64).reshape(-1)[:math.prod(shape)].reshape(shape)
+def _block(buf: np.ndarray, shape: tuple[int, ...], start: int = 0) -> np.ndarray:
+    """math.prod(shape) float64 values of the contiguous array buf from value start on, as one contiguous array of
+    that shape."""
+    return buf.view(np.float64).reshape(-1)[start:start + math.prod(shape)].reshape(shape)
 
 
 def _halves(n: int) -> tuple[slice, slice]:
@@ -357,8 +382,10 @@ def _helmholtz_multiplier(grid: TorusGrid, kappa: float, a: float, b: float, out
     if not 0.0 <= b < np.inf:
         raise ValueError(f"b must be finite and >= 0, got {b}")
     _check_kappa(kappa)
+    # |k|^2 scaled in the multiplier's own buffer: a second half field would set a run's peak at its start
+    mult = grid._squared_wavenumbers(out)
     with np.errstate(over="ignore", invalid="ignore"):  # where b*kappa^2*|k|^2 overflows, the mode gets 0
-        mult = np.multiply(b * kappa**2, grid._rfft_k2, out=out)
+        mult *= b * kappa**2
         mult += a
         np.divide(1.0, mult, out=mult)
     mult.flat[0] = 1.0 / a  # k = 0: 1/(a + b*kappa^2*0) is exactly 1/a, but inf * 0 is NaN

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Field, NonFiniteError, TorusGrid, _apply_multiplier, _check_kappa, _check_positive
+from .grid import Field, NonFiniteError, TorusGrid, _apply_multiplier, _check_kappa, _check_positive, _real
 
 __all__ = [
     "ModelKind",
@@ -82,7 +82,7 @@ def _reaction(kind: ModelKind, values: np.ndarray, out: np.ndarray | None = None
 
 def potential_values(kind: ModelKind, u_samples) -> np.ndarray:
     """Potential F(u) evaluated pointwise (for table/plot emission)."""
-    u = np.asarray(u_samples, dtype=np.float64)
+    u = _real(u_samples, "u_samples")
     if kind is ModelKind.SINE_GORDON:
         return np.cos(u)
     return (u**2 - 1.0) ** 2 / 4.0

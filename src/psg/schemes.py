@@ -74,24 +74,27 @@ def _imex1_rhs(model: ModelSpec, tau: float, u: np.ndarray, f: np.ndarray, out: 
     return rows_of
 
 
-def _bdf2_rhs(model: ModelSpec, tau: float, u: np.ndarray, u_prev: np.ndarray, f_prev: np.ndarray,
-              f: np.ndarray, spec: np.ndarray, out: np.ndarray):
+def _bdf2_rhs(model: ModelSpec, tau: float, u: np.ndarray, u_prev: np.ndarray, f: np.ndarray, spec: np.ndarray,
+              out: np.ndarray):
     """bdf2's right-hand side 2u - u_prev/2 + tau*(2f(u) - f(u_prev)), as _imex1_rhs.
 
-    f_prev holds f(u_prev). out may be u_prev: each row range of it is read before it is written. The
-    reaction term is formed in a block of those rows of spec, which their rfft overwrites next.
+    f holds f(u_prev), and each row range of it is read before it gets f(u) for the next step. out may be
+    u_prev, read the same way. 2f(u) is formed in a block of those rows of spec, which their rfft overwrites
+    next, and halved back into f: exact wherever 2f(u) is finite (where it is not, the step's solve fails).
     """
     def rows_of(rows):
         v, f_r, rhs_r = u[rows], f[rows], out[rows]
         term = _block(spec[rows], v.shape)
-        _reaction(model.kind, v, out=f_r)
         np.multiply(0.5, u_prev[rows], out=rhs_r)
         np.multiply(2.0, v, out=term)
         np.subtract(term, rhs_r, out=rhs_r)
-        np.multiply(2.0, f_r, out=term)
-        np.subtract(term, f_prev[rows], out=term)
-        np.multiply(tau, term, out=term)
-        return np.add(rhs_r, term, out=rhs_r)
+        _reaction(model.kind, v, out=term)
+        np.multiply(2.0, term, out=term)
+        np.subtract(term, f_r, out=f_r)
+        np.multiply(tau, f_r, out=f_r)
+        np.add(rhs_r, f_r, out=rhs_r)
+        np.multiply(0.5, term, out=f_r)
+        return rhs_r
     return rows_of
 
 
@@ -116,10 +119,12 @@ def _advance(grid: TorusGrid, u0: np.ndarray, model: ModelSpec, scheme: SchemeKi
 
     Each step runs under _step_state on each of its threads, whatever the caller's numpy settings: a non-finite
     field or diagnostic raises NonFiniteError naming it and its step. Each u is one of the two ring arrays this
-    generator owns, valid only until the next advance. Where _splits(grid) holds, each solve runs its halves on
-    this thread and on the helper thread _helper gives the generator until it ends (split=False keeps every step
-    on this thread), bitwise the same. Unrecorded, each step but the last forms the next one's right-hand side
-    in its last row stage, so a split step hands off twice; a record needs the whole new field and u_prev.
+    generator owns, valid only until the next advance; it also owns a half spectrum, one multiplier and, for bdf2,
+    the one array that carries f(u) to the next step (3.5 field sizes, 4.5 for bdf2). Where _splits(grid) holds,
+    each solve runs its halves on this thread and on the helper thread _helper gives the generator until it ends
+    (split=False keeps every step on this thread), bitwise the same, each thread carrying f in its own rows.
+    Unrecorded, each step but the last forms the next one's right-hand side in its last row stage, so a split
+    step hands off twice; a record needs the whole new field and u_prev.
     """
     _check_steps(n_steps)
     _check_positive("tau", tau)
@@ -127,9 +132,10 @@ def _advance(grid: TorusGrid, u0: np.ndarray, model: ModelSpec, scheme: SchemeKi
     # Step s writes ring[s % 2]: never u's slot; for bdf2 it is u_prev's, which
     # _bdf2_rhs reads before it writes there (u0 stays outside the ring).
     ring = [np.empty(grid.shape) for _ in range(2)]
-    # bdf2 carries f(u) to the next step in fs[s % 2]; imex1 forms f in its output slot
-    fs = [np.empty(grid.shape) for _ in range(2)] if bdf2 else None
-    spec = np.empty(grid._rfft_k2.shape, dtype=np.complex128)
+    # bdf2 carries f(u) to the next step in f, which each row range reads before it writes there;
+    # imex1 forms f in its output slot
+    f = np.empty(grid.shape) if bdf2 else None
+    spec = np.empty(grid._rfft_shape, dtype=np.complex128)
     # a record forms its sums in the half spectrum, free from the end of a solve to the next step's row stage
     scratch = _block(spec, grid.shape)
     mult = _helmholtz_multiplier(grid, model.kappa, 1.0, tau)
@@ -137,9 +143,9 @@ def _advance(grid: TorusGrid, u0: np.ndarray, model: ModelSpec, scheme: SchemeKi
     def rhs(step, u, u_prev):
         """The row function of step's right-hand side, from the arrays u and u_prev (None at step 1)."""
         out = ring[step % 2]
-        if bdf2 and step > 1:  # f(u_prev) is where the step before put f(its u)
-            return _bdf2_rhs(model, tau, u, u_prev, fs[(step - 1) % 2], fs[step % 2], spec, out)
-        return _imex1_rhs(model, tau, u, fs[step % 2] if bdf2 else out, out)  # BDF2 kick-starts with imex1
+        if bdf2 and step > 1:  # f holds f(u_prev), where the step before put f(its u)
+            return _bdf2_rhs(model, tau, u, u_prev, f, spec, out)
+        return _imex1_rhs(model, tau, u, f if bdf2 else out, out)  # BDF2 kick-starts with imex1
 
     then = None  # a step given then forms the next one's right-hand side in spec, as its last row stage
     # the helper (None where the run does not split) ends when the generator does: exhausted, closed, or raising

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, TorusGrid, _apply_multiplier, _check_kappa, _check_positive
+from .grid import Field, TorusGrid, _apply_multiplier, _check_kappa, _check_positive, _real
 
 __all__ = [
     "Regime",
@@ -300,7 +300,7 @@ def residual(u, kappa: float, *, spacing: float | None = None, periodic: bool | 
         spacing = u.grid.spacing
         periodic = True if periodic is None else periodic
     else:
-        values = np.asarray(u, dtype=np.float64)
+        values = _real(u, "u")
         if values.ndim != 1:
             raise ValueError("residual expects 1D samples")
         if spacing is None:

@@ -226,7 +226,7 @@ class TestHelmholtz:
 
     def test_multiplier_in_a_given_buffer_bitwise(self):
         # a run refills one buffer: overflowing modes (damped to 0) and the mean mode included
-        buf = np.full(TorusGrid(2, 16)._rfft_k2.shape, np.nan)
+        buf = np.full(TorusGrid(2, 16)._rfft_shape, np.nan)
         for kappa, a, b in ((0.2, 1.5, 0.01), (1e150, 1.0, 1e10), (1e150, 1.5, 1e-301), (0.5, 2.0, 0.0)):
             expected = _helmholtz_multiplier(TorusGrid(2, 16), kappa, a, b)
             assert _helmholtz_multiplier(TorusGrid(2, 16), kappa, a, b, out=buf) is buf
@@ -294,7 +294,7 @@ class TestHelmholtz:
         for mult in (_helmholtz_multiplier(grid, 0.3, 1.5, 0.1), -grid._rfft_k2, grid._rfft_deriv[-1]):
             expected = np.fft.irfftn(np.fft.rfftn(v, axes=axes) * mult, s=grid.shape, axes=axes).tobytes()
             assert _apply_multiplier(grid, v, mult)[0].tobytes() == expected
-            spec, out = np.empty(grid._rfft_k2.shape, dtype=np.complex128), np.empty(grid.shape)
+            spec, out = np.empty(grid._rfft_shape, dtype=np.complex128), np.empty(grid.shape)
             assert _apply_multiplier(grid, v, mult, spec, out)[0].tobytes() == expected
 
     def test_apply_multiplier_allocates_no_half_spectrum(self):
@@ -304,7 +304,7 @@ class TestHelmholtz:
         # here; the whole spectrum at n <= 64) and the finiteness check's mask (1/8).
         grid = TorusGrid(2, 256)
         v = Field.from_function(grid, lambda x, y: np.sin(x) * np.cos(2 * y)).values
-        spec, out = np.empty(grid._rfft_k2.shape, dtype=np.complex128), np.empty(grid.shape)
+        spec, out = np.empty(grid._rfft_shape, dtype=np.complex128), np.empty(grid.shape)
         mult = _helmholtz_multiplier(grid, 0.2, 1.0, 0.1)
         _apply_multiplier(grid, v, mult, spec, out)  # numpy's plan caches fill on the first call
         tracemalloc.start()

@@ -101,6 +101,13 @@ class TestPotentials:
         ac = potential_values(AC, [1.0, -1.0, 0.0])
         assert ac[0] == 0.0 and ac[1] == 0.0 and ac[2] == 0.25
 
+    @pytest.mark.parametrize("samples", [np.array([np.pi + 7j]), [np.pi + 7j]], ids=["array", "list"])
+    def test_complex_samples_rejected(self, samples):
+        # a float64 cast kept only the real parts: cos(pi) = -1 here, with numpy's ComplexWarning
+        for kind in (SG, AC):
+            with pytest.raises(ValueError, match="^u_samples must be real, got dtype complex128$"):
+                potential_values(kind, samples)
+
     def test_potential_is_minus_primitive_of_nonlinearity(self):
         # -dF/du equals the reaction term for both models (finite differences).
         u = np.linspace(-3.0, 3.0, 301)

@@ -117,6 +117,14 @@ class TestKink:
         u = kink_eval(kappa, 1, 0.0, x)
         assert residual(u, kappa, spacing=1e-3) <= 1e-8
 
+    @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_residual_rejects_complex_samples(self, periodic, as_list):
+        # a float64 cast kept only the real parts: the periodic residual of pi was 2.97e-14
+        u = np.full(8, np.pi) + 5j
+        with pytest.raises(ValueError, match="^u must be real, got dtype complex128$"):
+            residual(list(u) if as_list else u, 1.0, spacing=0.1, periodic=periodic)
+
     def test_residual_analytic_derivative(self):
         # Closed-form second derivative: the residual cancels identically.
         for kappa in (0.25, 0.5, 1.0):
