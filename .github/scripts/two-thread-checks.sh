@@ -17,6 +17,17 @@ for model_init in "sg pi_sin_sin" "ac sin_sin"; do
   for f in series.csv report.txt snap_10.psg snap_20.psg; do cmp "out/one-core-$1/$f" "out/all-cores-$1/$f"; done
 done
 
+echo "A 2D sweep writes the bytes of its one-core sweep"
+# a lone member splits its steps between the calling thread and its helper; two members step unsplit
+# side by side, the calling thread's and a worker thread's, and with three the thread that finishes
+# first takes the third; pinned to one CPU, every member steps on the calling thread
+args="--model sg --scheme imex1 --dim 2 --n 256 --kappa 0.2 --steps 20 --init pi_sin_sin"
+for taus in 0.25 0.1,0.25 0.1,0.25,0.5; do
+  limit taskset -c 0 psg sweep $args --tau-list $taus --out "out/sweep-one-core-$taus"
+  limit psg sweep $args --tau-list $taus --out "out/sweep-all-cores-$taus"
+  cmp "out/sweep-one-core-$taus/sweep.csv" "out/sweep-all-cores-$taus/sweep.csv"
+done
+
 echo "A two-thread convergence fit returns its one-core slopes"
 # convergence_order steps unrecorded, so its split steps form the next step's right-hand side in
 # their last row stage; the CLI always records, so the byte check above never reaches those steps

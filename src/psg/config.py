@@ -9,6 +9,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import Field, TorusGrid, _check_positive
+from .io import read_snapshot
 from .models import ModelKind, ModelSpec
 from .schemes import _MAX_STEPS, SchemeKind, _check_steps
 
@@ -99,8 +100,6 @@ def initial_field(config: ExperimentConfig) -> Field:
     path = Path(name)
     if not path.is_file():
         raise ValueError(f"unknown init {name!r}: not a named preset and not a readable file")
-    from .io import read_snapshot
-
     loaded, _t, _kappa = read_snapshot(path)
     if loaded.grid != config.grid:
         raise ValueError(

@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .config import ExperimentConfig, _steps_to, initial_field
-from .grid import _all_positive, _check_positive, _cores
+from .grid import _all_positive, _check_positive, _cores, _real
 from .schemes import SchemeKind, StepRecord, _advance
 
 __all__ = [
@@ -125,9 +125,10 @@ def stability_sweep(config: ExperimentConfig, tau_values: Sequence[float]) -> Sw
     raises before any run starts, and a KeyboardInterrupt starts no further
     run and is raised once every thread has ended.
     """
-    taus = tuple(float(t) for t in tau_values)
-    if not taus:
-        raise ValueError("tau_values must be nonempty")
+    values = _real(tau_values, "tau_values")
+    if values.ndim != 1 or not values.size:
+        raise ValueError(f"tau_values must be a nonempty 1D sequence, got shape {values.shape}")
+    taus = tuple(values.tolist())
     if not _all_positive(taus):
         raise ValueError(f"tau_values must all be finite and > 0, got {taus}")
 
@@ -167,8 +168,7 @@ def stability_sweep(config: ExperimentConfig, tau_values: Sequence[float]) -> Sw
 
 def fit_order(taus: Sequence[float], errors: Sequence[float]) -> float:
     """Least-squares slope of log(error) against log(tau), over at least two distinct taus."""
-    taus = np.asarray(taus, dtype=np.float64)
-    errors = np.asarray(errors, dtype=np.float64)
+    taus, errors = _real(taus, "taus"), _real(errors, "errors")
     if len(taus) != len(errors) or len(taus) < 2:
         raise ValueError("need at least two (tau, error) pairs")
     for name, values in (("taus", taus), ("errors", errors)):

@@ -48,7 +48,7 @@ def _check_positive(name: str, value: float) -> None:
 
 def _all_positive(values) -> bool:
     """Whether every entry of values is finite and > 0, _check_positive's rule for a list (NaN fails)."""
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(values)
     return bool(np.all((0.0 < values) & (values < np.inf)))
 
 
@@ -115,52 +115,50 @@ class TorusGrid:
     @cached_property
     def wavenumbers(self) -> np.ndarray:
         """Per-axis integer wavenumbers in FFT order."""
-        k = (np.fft.fftfreq(self.n_per_axis) * self.n_per_axis).astype(np.int64)
+        k = np.r_[: self.n_per_axis // 2, -(self.n_per_axis // 2) : 0]
         k.setflags(write=False)
         return k
 
     def coords(self) -> tuple[np.ndarray, ...]:
         """Meshgrid of node coordinates, one array per axis (indexing 'ij')."""
-        if self.dim == 1:
-            return (self.nodes,)
-        return tuple(np.meshgrid(self.nodes, self.nodes, indexing="ij"))
+        return tuple(np.meshgrid(*(self.nodes,) * self.dim, indexing="ij"))
 
-    # -- multiplier tables in the half-complex (rfft) layout. A grid caches the weighted |k|^2 a recorded
-    # step reads and the derivatives' i*k, but not |k|^2: a run forms it once, in its multiplier's buffer.
+    # -- multiplier tables in the half-complex (rfft) layout. A grid caches each axis's wavenumbers, the weighted
+    # |k|^2 a recorded step reads and the derivatives' i*k, but not |k|^2: a run forms it in its multiplier's buffer.
 
     @property
     def _rfft_shape(self) -> tuple[int, ...]:
         """The half spectrum's shape: the last axis keeps its n/2 + 1 wavenumbers >= 0."""
         return self.shape[:-1] + (self.n_per_axis // 2 + 1,)
 
-    def _squared_wavenumbers(self, out=None) -> np.ndarray:
-        """|k|^2 in the rfft layout (in out if given): exact integers, so any later scaling rounds once."""
-        kr = np.fft.rfftfreq(self.n_per_axis) * self.n_per_axis
-        if self.dim == 1:
-            return np.square(kr, out=out)
-        return np.add(np.square(self.wavenumbers.astype(np.float64))[:, None], np.square(kr), out=out)
+    @cached_property
+    def _rfft_axes(self) -> tuple[np.ndarray, ...]:
+        """Each axis's wavenumbers as floats, shaped to broadcast over the half spectrum (np.ix_'s open mesh)."""
+        n = self.n_per_axis
+        return np.ix_(*(self.wavenumbers.astype(np.float64),) * (self.dim - 1), np.fft.rfftfreq(n) * n)
 
-    # formed afresh on each read (laplacian's, the periodic derivative's): no grid keeps this half field
-    _rfft_k2 = property(_squared_wavenumbers)
+    def _squared_wavenumbers(self, out=None) -> np.ndarray:
+        """|k|^2 in the rfft layout (in out if given): integers wherever rfftfreq(n) * n is exact (every power of
+        two n), so any later scaling rounds once."""
+        first, *rest = self._rfft_axes
+        k2 = np.square(first, out=np.empty(self._rfft_shape) if out is None else out)
+        for k in rest:
+            k2 += np.square(k)
+        return k2
 
     @cached_property
     def _rfft_wk2(self) -> np.ndarray:
         # |k|^2 times the Parseval weight (columns 0 and n/2 have no conjugate twin), which each recorded step reads
-        wk2 = self._rfft_k2
+        wk2 = self._squared_wavenumbers()
         wk2 *= np.r_[1.0, np.full(self.n_per_axis // 2 - 1, 2.0), 1.0]
         return wk2
 
     @cached_property
     def _rfft_deriv(self) -> tuple[np.ndarray, ...]:
-        # Nyquist mode zeroed so derivatives of real fields stay real.
-        n = self.n_per_axis
-        k = self.wavenumbers.astype(np.float64)
-        k[n // 2] = 0.0
-        kr = np.fft.rfftfreq(n) * n
-        kr[-1] = 0.0
-        if self.dim == 1:
-            return (1j * kr,)
-        return (1j * k[:, None], 1j * kr[None, :])
+        deriv = tuple(1j * k for k in self._rfft_axes)
+        for ik in deriv:  # Nyquist mode (index n/2 on its axis) zeroed so derivatives of real fields stay real
+            ik.flat[self.n_per_axis // 2] = 0.0
+        return deriv
 
 
 @dataclass(frozen=True)
@@ -356,7 +354,7 @@ def _helper(grid: TorusGrid, split: bool) -> Iterator[tuple[queue.SimpleQueue, q
 
 def laplacian(f: Field) -> Field:
     """Spectral Laplacian: coefficient at k scaled by -|k|^2."""
-    return _field(f.grid, _apply_multiplier(f.grid, f.values, -f.grid._rfft_k2)[0])
+    return _field(f.grid, _apply_multiplier(f.grid, f.values, -f.grid._squared_wavenumbers())[0])
 
 
 def first_derivative(f: Field, axis: int = 0) -> Field:

@@ -103,8 +103,7 @@ def classify(C: float) -> Regime:
 def first_integral(u, du, kappa: float):
     """C = (1/2)*kappa^2*(u')^2 - cos(u); constant along exact orbits."""
     _check_kappa(kappa)
-    u = np.asarray(u, dtype=np.float64)
-    du = np.asarray(du, dtype=np.float64)
+    u, du = _real(u, "u"), _real(du, "du")
     out = 0.5 * kappa**2 * du**2 - np.cos(u)
     return float(out) if out.ndim == 0 else out
 
@@ -120,7 +119,7 @@ def _check_kink(kappa: float, sign: int, c: float) -> None:
 def kink_eval(kappa: float, sign: int, c: float, x):
     """Separatrix profile sign * 2*arcsin(tanh(x/kappa + c)); values in (-pi, pi)."""
     _check_kink(kappa, sign, c)
-    x = np.asarray(x, dtype=np.float64)
+    x = _real(x, "x")
     with np.errstate(over="ignore"):  # tanh(+-inf) = +-1 is the exact limit
         out = sign * 2.0 * np.arcsin(np.tanh(x / kappa + c))
     return float(out) if out.ndim == 0 else out
@@ -129,7 +128,7 @@ def kink_eval(kappa: float, sign: int, c: float, x):
 def kink_derivative(kappa: float, sign: int, c: float, x):
     """Closed-form derivative of kink_eval: sign * (2/kappa) * sech(x/kappa + c)."""
     _check_kink(kappa, sign, c)
-    x = np.asarray(x, dtype=np.float64)
+    x = _real(x, "x")
     with np.errstate(over="ignore"):  # 1/cosh(+-inf) = 0 is the exact limit
         out = sign * 2.0 / (kappa * np.cosh(x / kappa + c))
     return float(out) if out.ndim == 0 else out
@@ -252,8 +251,7 @@ def reflect_extend(x: np.ndarray, u: np.ndarray, mode: Reflection) -> tuple[np.n
     checked to tolerance 1e-8; a violation raises ReflectionError. Returns
     the extended (x, u), 2*len(x) - 1 points.
     """
-    x = np.asarray(x, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
+    x, u = _real(x, "x"), _real(u, "u")
     if x.ndim != 1 or x.shape != u.shape or len(x) < 5:
         raise ValueError("x and u must be equal-length 1D arrays with >= 5 samples")
     if mode is Reflection.EVEN:
@@ -278,7 +276,7 @@ def _periodic_derivative(u: np.ndarray, spacing: float, order: int, kappa: float
     """kappa^order times the spectral derivative (order 1 or 2) of one period of samples: the grid's
     operator times (kappa * grid spacing / spacing)^order, O(1) where the spacing ratio alone overflows."""
     grid = TorusGrid(1, len(u))
-    d = _apply_multiplier(grid, u, grid._rfft_deriv[0] if order == 1 else -grid._rfft_k2)[0]
+    d = _apply_multiplier(grid, u, grid._rfft_deriv[0] if order == 1 else -grid._squared_wavenumbers())[0]
     return d * (kappa * grid.spacing / spacing) ** order
 
 

@@ -328,8 +328,10 @@ class TestStabilitySweep:
         assert peak(2000) - peak(200) < 32 * 1024
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            stability_sweep(demo_config(), [])
+        # a scalar or a 2D array is no list of taus: it raises before any run, as an empty list does
+        for taus in ([], 0.1, np.array([[0.1, 0.2]])):
+            with pytest.raises(ValueError, match="^tau_values must be a nonempty 1D sequence"):
+                stability_sweep(demo_config(), taus)
         with pytest.raises(ValueError):
             stability_sweep(demo_config(), [0.1, -1.0])
 

@@ -50,10 +50,28 @@ class TestTorusGrid:
         assert grid.nodes[0] == -np.pi
         assert grid.nodes[-1] == pytest.approx(np.pi - grid.spacing)
 
-    @pytest.mark.parametrize("n", [4, 8, 30, 256])
+    @pytest.mark.parametrize("n", [4, 8, 14, 30, 98, 256])  # truncating fftfreq(n) * n read 4 for 5 at n = 14
     def test_wavenumber_table_complete(self, n):
-        k = np.sort(TorusGrid(1, n).wavenumbers)
-        assert np.array_equal(k, np.arange(-n // 2, n // 2))
+        k = TorusGrid(1, n).wavenumbers
+        assert k.dtype == np.int64 and np.array_equal(k, np.fft.ifftshift(np.arange(-n // 2, n // 2)))
+
+    @pytest.mark.parametrize("n", [4, 6, 176, 256])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rfft_tables_bitwise(self, dim, n):
+        # |k|^2, the weighted |k|^2 and i*k from one per-axis table, bitwise the fftfreq/rfftfreq formulas (at
+        # n = 176, rfftfreq(n) * n is off integers by an ulp in 8 places), zero real parts' signs included
+        k = np.rint(np.fft.fftfreq(n) * n)
+        kr = np.fft.rfftfreq(n) * n
+        k2 = np.square(kr) if dim == 1 else np.add(np.square(k)[:, None], np.square(kr))
+        k_deriv, kr_deriv = k.copy(), kr.copy()
+        k_deriv[n // 2] = kr_deriv[-1] = 0.0
+        deriv = (1j * kr_deriv,) if dim == 1 else (1j * k_deriv[:, None], 1j * kr_deriv[None, :])
+        wk2 = k2 * np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0]
+        grid = TorusGrid(dim, n)
+        tables = (grid._squared_wavenumbers(), grid._rfft_wk2, *grid._rfft_deriv)
+        for table, expected in zip(tables, (k2, wk2, *deriv), strict=True):
+            assert table.shape == expected.shape and table.tobytes() == expected.tobytes()
+        assert np.signbit(grid._rfft_deriv[0].real).any() == (dim == 2)  # -0.0 for each k < 0 on axis 0
 
     @pytest.mark.parametrize("dim,n", [(3, 8), (0, 8), (1, 3), (1, 7), (1, 2), (2, 5)])
     def test_invalid_grid_rejected(self, dim, n):
@@ -169,6 +187,14 @@ class TestLaplacian:
         f = Field.from_function(grid, lambda x, y: np.sin(x) * np.sin(y))
         assert np.max(np.abs(laplacian(f).values + 2.0 * f.values)) <= 1e-12
 
+    @pytest.mark.parametrize("n", [14, 98])
+    def test_2d_eigenvalue_at_every_wavenumber(self, n):
+        # the first axis's wavenumbers were fftfreq(n) * n truncated: 4 in place of 5 at n = 14
+        grid = TorusGrid(2, n)
+        for k in range(n // 2 + 1):
+            f = Field.from_function(grid, lambda x, y: np.cos(k * x) + np.cos(k * y))
+            assert np.max(np.abs(laplacian(f).values + k**2 * f.values)) <= 1e-12 * n**2
+
     @pytest.mark.parametrize("k", [1, 3, 7, 15, 16])
     def test_general_eigenvalue(self, k):
         # k = n/2 exercises the Nyquist convention: multiplier -(n/2)^2.
@@ -221,7 +247,7 @@ class TestHelmholtz:
     def test_multiplier_bitwise_where_nothing_overflows(self):
         for grid, kappa, a, b in ((TorusGrid(1, 32), 0.1, 1.0, 2.1), (TorusGrid(2, 16), 0.2, 1.5, 0.01),
                                   (TorusGrid(2, 16), 1e150, 1.0, 1e-301), (TorusGrid(1, 8), 0.5, 2.0, 0.0)):
-            expected = 1.0 / (a + b * kappa**2 * grid._rfft_k2)
+            expected = 1.0 / (a + b * kappa**2 * grid._squared_wavenumbers())
             assert np.array_equal(_helmholtz_multiplier(grid, kappa, a, b), expected)
 
     def test_multiplier_in_a_given_buffer_bitwise(self):
@@ -291,7 +317,7 @@ class TestHelmholtz:
         grid = TorusGrid(dim, 64)
         v = rng.uniform(-np.pi, np.pi, grid.shape)  # rough: every mode, Nyquist included
         axes = tuple(range(dim))
-        for mult in (_helmholtz_multiplier(grid, 0.3, 1.5, 0.1), -grid._rfft_k2, grid._rfft_deriv[-1]):
+        for mult in (_helmholtz_multiplier(grid, 0.3, 1.5, 0.1), -grid._squared_wavenumbers(), grid._rfft_deriv[-1]):
             expected = np.fft.irfftn(np.fft.rfftn(v, axes=axes) * mult, s=grid.shape, axes=axes).tobytes()
             assert _apply_multiplier(grid, v, mult)[0].tobytes() == expected
             spec, out = np.empty(grid._rfft_shape, dtype=np.complex128), np.empty(grid.shape)

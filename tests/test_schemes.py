@@ -493,6 +493,19 @@ class TestGuarantees:
         assert rising.first_violation_step == 2
         assert rising.worst_excess == pytest.approx(6.7e-7, rel=0.01)
 
+    def test_bdf2_tau_threshold_pinned_allen_cahn(self):
+        # The same threshold for Allen-Cahn's mean mode, whose linearization f'(1) = -2 is sine-Gordon's at pi
+        # (f'(pi) = cos(pi) = -1) scaled by 2: clean over 200 steps at tau = 0.641, first flagged at step 2
+        # (excess 1.34e-8) at 0.642; bisection puts it at 0.64152 (from 1.01: 0.63716, from 0.99: 0.64711),
+        # against sine-Gordon's 1.28402 / 2 = 0.64201.
+        u0 = Field.constant(TorusGrid(1, 16), 1.001)
+        model = ModelSpec(ModelKind.ALLEN_CAHN, 0.1)
+        clean = monitor_reports(run(u0, model, SchemeKind.BDF2, 0.641, 200))[0].modified_energy
+        assert not clean.violated
+        rising = monitor_reports(run(u0, model, SchemeKind.BDF2, 0.642, 200))[0].modified_energy
+        assert rising.first_violation_step == 2
+        assert rising.worst_excess == pytest.approx(1.34e-8, rel=0.01)
+
     def test_max_principle_fails_on_unresolved_kinks(self):
         # The discrete resolvent 1/(1 + tau*kappa^2*|k|^2) is not positivity-preserving: at
         # kappa/h = 0.32 the reaction steepens u0 = sin 3x into kinks the grid cannot resolve,
@@ -563,7 +576,7 @@ class TestRun:
         grid = TorusGrid(1, 16)
         u0 = Field.from_function(grid, np.sin)
         spec, out = np.empty(grid._rfft_shape, dtype=np.complex128), np.empty(grid.shape)
-        assert _apply_multiplier(grid, u0.values, -grid._rfft_k2, spec, out)[0] is out
+        assert _apply_multiplier(grid, u0.values, -grid._squared_wavenumbers(), spec, out)[0] is out
         steps = psg.schemes._advance(grid, u0.values, SG, SchemeKind.BDF2, 0.1, 3)
         ring = [next(steps)[0] for _ in range(3)]
         assert all(type(u) is np.ndarray for u in ring)
@@ -717,7 +730,9 @@ class TestRun:
             held = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
-        assert "_rfft_k2" not in grid.__dict__
+        # no table cached on the grid holds more than 2n values, so the grid keeps no half-spectrum table
+        cached = {name: sum(map(np.size, v)) if isinstance(v, tuple) else np.size(v) for name, v in vars(grid).items()}
+        assert max(cached.values()) <= 2 * n, cached
         # the steps alternate between the two ring slots; u0 stays outside them
         assert yielded[0] is yielded[2] and yielded[1] is not yielded[0]
         assert all(values is not u0.values for values in yielded)

@@ -11,6 +11,7 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from psg import (
+    ExperimentConfig,
     Field,
     FirstIntegralError,
     ModelKind,
@@ -27,12 +28,14 @@ from psg import (
     energy,
     first_derivative,
     first_integral,
+    fit_order,
     kink_derivative,
     kink_eval,
     laplacian,
     reflect_extend,
     residual,
     run_steps,
+    stability_sweep,
 )
 
 
@@ -87,6 +90,23 @@ class TestFirstIntegral:
             first_integral(0.0, 1.0, kappa)
 
 
+# every public array argument but residual's: its name, a call, and real parts for which the call returns
+# a value (constant for the even reflection's u, whose slope at x0 must vanish)
+_SWEEP = ExperimentConfig(ModelKind.SINE_GORDON, SchemeKind.IMEX1, 1, 0.1, 0.1, 16, n_steps=2)
+_RAMP, _FLAT = np.linspace(0.1, 0.5, 5), np.full(5, 0.3)
+COMPLEX_CALLS = {
+    "first_integral-u": ("u", lambda z: first_integral(z, _RAMP, 1.0), _RAMP),
+    "first_integral-du": ("du", lambda z: first_integral(_RAMP, z, 1.0), _RAMP),
+    "kink_eval": ("x", lambda z: kink_eval(0.5, 1, 0.0, z), _RAMP),
+    "kink_derivative": ("x", lambda z: kink_derivative(0.5, 1, 0.0, z), _RAMP),
+    "reflect_extend-x": ("x", lambda z: reflect_extend(z, _FLAT, Reflection.EVEN), _RAMP),
+    "reflect_extend-u": ("u", lambda z: reflect_extend(_RAMP, z, Reflection.EVEN), _FLAT),
+    "fit_order-taus": ("taus", lambda z: fit_order(z, _RAMP), _RAMP),
+    "fit_order-errors": ("errors", lambda z: fit_order(_RAMP, z), _RAMP),
+    "stability_sweep": ("tau_values", lambda z: stability_sweep(_SWEEP, z), _RAMP),
+}
+
+
 class TestKink:
     def test_center_and_limits(self):
         assert kink_eval(1.0, 1, 0.0, 0.0) == 0.0
@@ -124,6 +144,15 @@ class TestKink:
         u = np.full(8, np.pi) + 5j
         with pytest.raises(ValueError, match="^u must be real, got dtype complex128$"):
             residual(list(u) if as_list else u, 1.0, spacing=0.1, periodic=periodic)
+
+    @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+    @pytest.mark.parametrize("call", COMPLEX_CALLS)
+    def test_public_arrays_reject_complex(self, call, as_list):
+        # a float64 cast kept only the real parts, and each call returned a value
+        name, fn, real = COMPLEX_CALLS[call]
+        z = real + 1j
+        with pytest.raises(ValueError, match=f"^{name} must be real, got dtype complex128$"):
+            fn(list(z) if as_list else z)
 
     def test_residual_analytic_derivative(self):
         # Closed-form second derivative: the residual cancels identically.
