@@ -125,10 +125,7 @@ def stability_sweep(config: ExperimentConfig, tau_values: Sequence[float]) -> Sw
     raises before any run starts, and a KeyboardInterrupt starts no further
     run and is raised once every thread has ended.
     """
-    values = _real(tau_values, "tau_values")
-    if values.ndim != 1 or not values.size:
-        raise ValueError(f"tau_values must be a nonempty 1D sequence, got shape {values.shape}")
-    taus = tuple(values.tolist())
+    taus = tuple(_real(tau_values, "tau_values", ndim=1).tolist())
     if not _all_positive(taus):
         raise ValueError(f"tau_values must all be finite and > 0, got {taus}")
 
@@ -168,9 +165,9 @@ def stability_sweep(config: ExperimentConfig, tau_values: Sequence[float]) -> Sw
 
 def fit_order(taus: Sequence[float], errors: Sequence[float]) -> float:
     """Least-squares slope of log(error) against log(tau), over at least two distinct taus."""
-    taus, errors = _real(taus, "taus"), _real(errors, "errors")
-    if len(taus) != len(errors) or len(taus) < 2:
-        raise ValueError("need at least two (tau, error) pairs")
+    taus, errors = _real(taus, "taus", ndim=1), _real(errors, "errors", ndim=1)
+    if len(taus) != len(errors):
+        raise ValueError(f"taus and errors must have equal lengths, got {len(taus)} and {len(errors)}")
     for name, values in (("taus", taus), ("errors", errors)):
         if not _all_positive(values):
             raise ValueError(f"{name} must all be finite and > 0 to fit a slope, got {values}")

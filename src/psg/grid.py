@@ -52,12 +52,16 @@ def _all_positive(values) -> bool:
     return bool(np.all((0.0 < values) & (values < np.inf)))
 
 
-def _real(values, name: str) -> np.ndarray:
-    """values as a float64 array, or ValueError naming name and the dtype for complex values, whose imaginary
-    parts the cast would drop."""
-    if np.iscomplexobj(values):
-        raise ValueError(f"{name} must be real, got dtype {np.asarray(values).dtype}")
-    return np.asarray(values, dtype=np.float64)
+def _real(values, name: str, ndim: int | None = None) -> np.ndarray:
+    """values as a float64 array (values itself if it is one), the one check of a public array argument: ValueError
+    naming name for a dtype other than bool, integer or floating (complex, object or text, which a cast would cut,
+    turn into NaN or parse) and, given ndim, unless values has ndim dimensions and at least one entry."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be real, got dtype {array.dtype}")
+    if ndim is not None and (array.ndim != ndim or not array.size):
+        raise ValueError(f"{name} must be a nonempty {ndim}D sequence, got shape {array.shape}")
+    return np.asarray(array, dtype=np.float64)
 
 
 def _check_kappa(kappa: float) -> None:
@@ -135,11 +139,10 @@ class TorusGrid:
     def _rfft_axes(self) -> tuple[np.ndarray, ...]:
         """Each axis's wavenumbers as floats, shaped to broadcast over the half spectrum (np.ix_'s open mesh)."""
         n = self.n_per_axis
-        return np.ix_(*(self.wavenumbers.astype(np.float64),) * (self.dim - 1), np.fft.rfftfreq(n) * n)
+        return np.ix_(*(self.wavenumbers.astype(np.float64),) * (self.dim - 1), np.arange(n // 2 + 1.0))
 
     def _squared_wavenumbers(self, out=None) -> np.ndarray:
-        """|k|^2 in the rfft layout (in out if given): integers wherever rfftfreq(n) * n is exact (every power of
-        two n), so any later scaling rounds once."""
+        """|k|^2 in the rfft layout (in out if given): exact integers, so any later scaling rounds once."""
         first, *rest = self._rfft_axes
         k2 = np.square(first, out=np.empty(self._rfft_shape) if out is None else out)
         for k in rest:

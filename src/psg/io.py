@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .grid import _DIMS, Field, TorusGrid
+from .grid import _DIMS, Field, TorusGrid, _real
 from .models import ModelKind, potential_values
 from .schemes import StepRecord
 
@@ -159,6 +159,9 @@ def write_sweep_csv(path, sweep) -> None:
 
 
 def write_profile_csv(path, x: np.ndarray, u: np.ndarray) -> None:
+    x, u = _real(x, "x", ndim=1), _real(u, "u", ndim=1)
+    if x.shape != u.shape:
+        raise ValueError(f"x and u must have equal lengths, got {len(x)} and {len(u)}")
     lines = ["x,u"]
     lines += [f"{_fmt(xi)},{_fmt(ui)}" for xi, ui in zip(x, u)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

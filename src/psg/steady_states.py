@@ -251,8 +251,8 @@ def reflect_extend(x: np.ndarray, u: np.ndarray, mode: Reflection) -> tuple[np.n
     checked to tolerance 1e-8; a violation raises ReflectionError. Returns
     the extended (x, u), 2*len(x) - 1 points.
     """
-    x, u = _real(x, "x"), _real(u, "u")
-    if x.ndim != 1 or x.shape != u.shape or len(x) < 5:
+    x, u = _real(x, "x", ndim=1), _real(u, "u", ndim=1)
+    if x.shape != u.shape or len(x) < 5:
         raise ValueError("x and u must be equal-length 1D arrays with >= 5 samples")
     if mode is Reflection.EVEN:
         # 4th-order one-sided estimate of h*u'(x0), with no division by h: a slope grows as 1/h on
@@ -290,21 +290,17 @@ def residual(u, kappa: float, *, spacing: float | None = None, periodic: bool | 
     """
     _check_kappa(kappa)
     if isinstance(u, Field):
-        if u.grid.dim != 1:
-            raise ValueError("residual expects 1D samples")
         if spacing is not None:
             raise ValueError("a Field carries its own spacing; pass spacing only with a plain array")
-        values = u.values
         spacing = u.grid.spacing
+        u = u.values
         periodic = True if periodic is None else periodic
     else:
-        values = _real(u, "u")
-        if values.ndim != 1:
-            raise ValueError("residual expects 1D samples")
         if spacing is None:
             raise ValueError("plain arrays need an explicit spacing")
         _check_positive("spacing", spacing)
         periodic = False if periodic is None else periodic
+    values = _real(u, "u", ndim=1)
 
     if periodic:
         if len(values) < 4 or len(values) % 2:

@@ -345,6 +345,8 @@ class TestConvergenceOrder:
     def test_fit_order_validation(self):
         with pytest.raises(ValueError):
             fit_order([0.1], [1.0])
+        with pytest.raises(ValueError, match="^taus and errors must have equal lengths, got 3 and 2$"):
+            fit_order([0.1, 0.05, 0.025], [1.0, 0.5])
         with pytest.raises(ValueError):
             fit_order([0.1, 0.05], [1.0, 0.0])
 

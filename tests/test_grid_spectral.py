@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from psg import (
     Field,
@@ -39,6 +40,10 @@ from conftest import random_smooth_field
 COS_PI_SIN_INTEGRAL = -1.9116099803976925
 
 
+# every real dtype _real takes: bool, signed and unsigned integers, floats, and a big-endian float64
+REAL_DTYPES = [np.dtype(t) for t in ("?", "i1", "i2", "i4", "i8", "u1", "u2", "u4", "u8", "f2", "f4", "f8", ">f8")]
+
+
 class TestTorusGrid:
     def test_spacing_times_n_is_2pi(self):
         for n in (4, 8, 256):
@@ -58,10 +63,10 @@ class TestTorusGrid:
     @pytest.mark.parametrize("n", [4, 6, 176, 256])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_rfft_tables_bitwise(self, dim, n):
-        # |k|^2, the weighted |k|^2 and i*k from one per-axis table, bitwise the fftfreq/rfftfreq formulas (at
-        # n = 176, rfftfreq(n) * n is off integers by an ulp in 8 places), zero real parts' signs included
+        # |k|^2, the weighted |k|^2 and i*k from one per-axis table, bitwise the exact-integer formulas (which
+        # rfftfreq(n) * n is not: at n = 176 it is off integers by an ulp in 8 places), zero real parts' signs included
         k = np.rint(np.fft.fftfreq(n) * n)
-        kr = np.fft.rfftfreq(n) * n
+        kr = np.arange(n // 2 + 1.0)
         k2 = np.square(kr) if dim == 1 else np.add(np.square(k)[:, None], np.square(kr))
         k_deriv, kr_deriv = k.copy(), kr.copy()
         k_deriv[n // 2] = kr_deriv[-1] = 0.0
@@ -102,6 +107,20 @@ class TestField:
         # a float64 cast kept only the real parts (1.0 here), with numpy's ComplexWarning
         with pytest.raises(ValueError, match="complex128"):
             Field(TorusGrid(1, 8), np.ones(8) * (1 + 1j))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(st.sampled_from(REAL_DTYPES), hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)),
+           st.booleans())
+    @example(np.zeros((2, 3)), False)
+    def test_real_is_the_float64_cast(self, array, as_list):
+        # grid._real, every public array argument's check, passes real input on as the plain cast would
+        values = array.tolist() if as_list else array
+        result = psg.grid._real(values, "values")
+        expected = np.asarray(values, dtype=np.float64)
+        assert result.dtype == np.float64 and result.shape == expected.shape
+        assert result.tobytes() == expected.tobytes()
+        if isinstance(values, np.ndarray) and values.dtype == np.float64:
+            assert result is values  # a native float64 array is not copied
 
     def test_non_finite_rejected(self):
         values = np.zeros(8)
