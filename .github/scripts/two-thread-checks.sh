@@ -45,3 +45,14 @@ for pin in "" "taskset -c 0"; do
   limit $pin psg run $args --out "out/split-blowup${pin:+-one-core}" || code=$?
   test "$code" -eq 2
 done
+
+echo "An unrecorded split 2D blow-up raises and ends its helper"
+# the run above fails in a record, on the calling thread; convergence_order steps unrecorded, so here
+# the field goes non-finite inside the solve's row stages, at step 7 of the reference run, on both threads
+fit='import psg; c = psg.ExperimentConfig(psg.ModelKind.ALLEN_CAHN, psg.SchemeKind.BDF2, 2, 0.2, 1000.0, 256, t_final=4000.0, init="sin_sin"); psg.convergence_order(c, psg.SchemeKind.BDF2, 1000.0, 3, 4000.0)'
+for pin in "" "taskset -c 0"; do
+  code=0
+  limit $pin python -c "$fit" 2> out/fit-blowup.err || code=$?
+  test "$code" -eq 1
+  test "$(tail -n 1 out/fit-blowup.err)" = "psg.grid.NonFiniteError: non-finite field values at step 7"
+done

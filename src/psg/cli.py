@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import INIT_PRESETS, ExperimentConfig, initial_field
 from .diagnostics import MonitorReports, monitor_reports, stability_sweep
-from .grid import _DIMS, NonFiniteError, _all_positive, _check_positive
+from .grid import _DIMS, NonFiniteError, _all_positive, _check_count, _check_positive
 from .models import ModelKind
 from .schemes import SchemeKind, StepRecord, run_steps
 from .steady_states import Regime, SteadyStateCase, build_periodic_orbit, kink_eval, residual
@@ -131,8 +131,7 @@ def _report_lines(config: ExperimentConfig, args, reports: MonitorReports, final
 def cmd_run(args) -> int:
     config = _build_config(args, tau=args.tau)
     n_steps = config.step_count  # a tau that does not divide --tfinal fails before anything is written
-    if args.snap_every < 0:
-        raise ValueError(f"snap_every must be >= 0, got {args.snap_every}")
+    _check_count("snap_every", args.snap_every, 0)
     u0 = initial_field(config)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)

@@ -8,10 +8,10 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Field, TorusGrid, _check_positive
+from .grid import Field, TorusGrid, _check_count, _check_kappa, _check_positive
 from .io import read_snapshot
 from .models import ModelKind, ModelSpec
-from .schemes import _MAX_STEPS, SchemeKind, _check_steps
+from .schemes import _MAX_STEPS, SchemeKind
 
 __all__ = ["ExperimentConfig", "INIT_PRESETS", "initial_field"]
 
@@ -48,16 +48,15 @@ class ExperimentConfig:
     init: str = "pi_sin"
 
     def __post_init__(self) -> None:
-        _check_positive("tau", self.tau)
+        tau = _check_positive("tau", self.tau)
         if (self.t_final is None) == (self.n_steps is None):
             raise ValueError("exactly one of t_final / n_steps must be given")
         if self.t_final is not None:
-            _check_positive("t_final", self.t_final)
+            self.__dict__.update(t_final=_check_positive("t_final", self.t_final))
         else:
-            _check_steps(self.n_steps)
-        # Fail fast on bad grid/model parameters.
-        TorusGrid(self.dim, self.n_per_axis)
-        ModelSpec(self.model_kind, self.kappa)
+            self.__dict__.update(n_steps=_check_count("n_steps", self.n_steps, 1, _MAX_STEPS))
+        grid = TorusGrid(self.dim, self.n_per_axis)
+        self.__dict__.update(tau=tau, kappa=_check_kappa(self.kappa), dim=grid.dim, n_per_axis=grid.n_per_axis)
 
     @property
     def model(self) -> ModelSpec:
@@ -73,7 +72,7 @@ class ExperimentConfig:
 
     def steps_for(self, tau: float) -> int:
         """Steps of this run at time step tau: n_steps, or t_final / tau when that is an integer."""
-        return self.n_steps if self.n_steps is not None else _steps_to(self.t_final, tau)
+        return self.n_steps if self.n_steps is not None else _steps_to(self.t_final, _check_positive("tau", tau))
 
 
 def _steps_to(t_final: float, tau: float) -> int:

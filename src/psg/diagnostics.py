@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .config import ExperimentConfig, _steps_to, initial_field
-from .grid import _all_positive, _check_positive, _cores, _real
+from .grid import _all_positive, _check_count, _check_positive, _cores, _real, _scalar
 from .schemes import SchemeKind, StepRecord, _advance
 
 __all__ = [
@@ -190,9 +190,8 @@ def convergence_order(
     and returns the fitted slope. t_final must be commensurate with every
     tested tau.
     """
-    if levels < 3:
-        raise ValueError(f"levels must be >= 3, got {levels}")
-    _check_positive("tau_base", tau_base)
+    levels, tau_base = _check_count("levels", levels, 3), _check_positive("tau_base", tau_base)
+    t_final = _scalar(t_final, "t_final")  # _steps_to checks it against each tau
     taus = [tau_base / 2**level for level in range(levels)]
     tau_ref = tau_base / 2 ** (levels + 2)
     step_counts = [_steps_to(t_final, tau) for tau in (*taus, tau_ref)]

@@ -40,10 +40,33 @@ class NonFiniteError(ValueError):
     """A field contains NaN or Inf entries."""
 
 
-def _check_positive(name: str, value: float) -> None:
-    """ValueError unless 0 < value < inf (so NaN fails too)."""
+def _scalar(value, name: str) -> float:
+    """value as a Python float, the one rule for a public real number: _real's dtype rule (ValueError naming name)
+    and one number, so a float32 in gives float64 arithmetic, and text, complex, None and [x] raise."""
+    array = _real(value, name)
+    if array.ndim:
+        raise ValueError(f"{name} must be a single number, got shape {array.shape}")
+    return float(array)
+
+
+def _check_count(name: str, value: int, least: int, most: int | None = None) -> int:
+    """value as an int, the one rule for a public count: ValueError unless it is an integer (numpy's too) >= least
+    and, given most, <= most."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be <= {most}, got {value}")
+    return int(value)
+
+
+def _check_positive(name: str, value: float) -> float:
+    """_scalar(value, name), or ValueError unless 0 < value < inf (so NaN fails too)."""
+    value = _scalar(value, name)
     if not 0.0 < value < np.inf:
         raise ValueError(f"{name} must be finite and > 0, got {value}")
+    return value
 
 
 def _all_positive(values) -> bool:
@@ -64,14 +87,15 @@ def _real(values, name: str, ndim: int | None = None) -> np.ndarray:
     return np.asarray(array, dtype=np.float64)
 
 
-def _check_kappa(kappa: float) -> None:
+def _check_kappa(kappa: float) -> float:
     """_check_positive for kappa, which every operator and energy also squares.
 
     kappa must also be a normal float: below that, x/kappa overflows and a steady state's x samples lose digits."""
-    _check_positive("kappa", kappa)
+    kappa = _check_positive("kappa", kappa)
     tiny = float(np.finfo(float).tiny)  # the smallest normal float64
-    if not (tiny <= kappa and float(kappa) * float(kappa) < np.inf):  # float ** raises OverflowError
+    if not (tiny <= kappa and kappa * kappa < np.inf):  # float ** raises OverflowError
         raise ValueError(f"kappa must be finite and > 0 with kappa^2 finite and kappa >= {tiny!r}, got {kappa}")
+    return kappa
 
 
 @dataclass(frozen=True)
@@ -88,14 +112,12 @@ class TorusGrid:
     n_per_axis: int
 
     def __post_init__(self) -> None:
-        for name in ("dim", "n_per_axis"):  # numpy integers pass; a float size would fail later, in shape
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name, least in (("dim", 1), ("n_per_axis", 4)):  # kept as Python ints: n**dim cannot wrap
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), least))
         if self.dim not in _DIMS:
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        n = self.n_per_axis
-        if n < 4 or n % 2 != 0:
-            raise ValueError(f"n_per_axis must be even and >= 4, got {n}")
+        if self.n_per_axis % 2 != 0:
+            raise ValueError(f"n_per_axis must be even, got {self.n_per_axis}")
 
     @property
     def spacing(self) -> float:
@@ -189,7 +211,7 @@ class Field:
 
     @classmethod
     def constant(cls, grid: TorusGrid, value: float) -> "Field":
-        return cls(grid, np.full(grid.shape, float(value)))
+        return cls(grid, np.full(grid.shape, _scalar(value, "value")))
 
     @classmethod
     def zeros(cls, grid: TorusGrid) -> "Field":
@@ -362,7 +384,7 @@ def laplacian(f: Field) -> Field:
 
 def first_derivative(f: Field, axis: int = 0) -> Field:
     """Spectral first derivative along one axis (multiplier i*k, Nyquist zeroed)."""
-    if not 0 <= axis < f.grid.dim:
+    if not _check_count("axis", axis, 0) < f.grid.dim:
         raise ValueError(f"axis {axis} out of range for dim {f.grid.dim}")
     return _field(f.grid, _apply_multiplier(f.grid, f.values, f.grid._rfft_deriv[axis])[0])
 
@@ -379,10 +401,11 @@ def helmholtz_solve(rhs: Field, kappa: float, a: float, b: float) -> Field:
 
 def _helmholtz_multiplier(grid: TorusGrid, kappa: float, a: float, b: float, out=None) -> np.ndarray:
     """1/(a + b*kappa^2*|k|^2) in the rfft layout (in out if given): the multiplier helmholtz_solve applies."""
-    _check_positive("a", a)  # a = 0 is not invertible on constants
+    a = _check_positive("a", a)  # a = 0 is not invertible on constants
+    b = _scalar(b, "b")
     if not 0.0 <= b < np.inf:
         raise ValueError(f"b must be finite and >= 0, got {b}")
-    _check_kappa(kappa)
+    kappa = _check_kappa(kappa)
     # |k|^2 scaled in the multiplier's own buffer: a second half field would set a run's peak at its start
     mult = grid._squared_wavenumbers(out)
     with np.errstate(over="ignore", invalid="ignore"):  # where b*kappa^2*|k|^2 overflows, the mode gets 0

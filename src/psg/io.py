@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .grid import _DIMS, Field, TorusGrid, _real
+from .grid import _DIMS, Field, TorusGrid, _real, _scalar
 from .models import ModelKind, potential_values
 from .schemes import StepRecord
 
@@ -52,6 +52,10 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 def write_snapshot(path, field: Field, t: float, kappa: float) -> None:
+    t, kappa = _scalar(t, "t"), _scalar(kappa, "kappa")
+    for name, value in (("t", t), ("kappa", kappa)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     grid = field.grid
     header = SNAPSHOT_MAGIC + struct.pack("<HH", SNAPSHOT_VERSION, grid.dim)
     header += struct.pack(f"<{grid.dim}I", *grid.shape)

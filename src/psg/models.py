@@ -42,7 +42,7 @@ class ModelSpec:
     kappa: float
 
     def __post_init__(self) -> None:
-        _check_kappa(self.kappa)
+        object.__setattr__(self, "kappa", _check_kappa(self.kappa))
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,8 @@ class GeneralModelParams:
     gamma: float
 
     def __post_init__(self) -> None:
-        _check_kappa(self.kappa)
-        _check_positive("beta", self.beta)
-        _check_positive("gamma", self.gamma)
+        self.__dict__.update(kappa=_check_kappa(self.kappa), beta=_check_positive("beta", self.beta),
+                             gamma=_check_positive("gamma", self.gamma))
         _check_positive("gamma * beta", self.gamma * self.beta)
 
 
@@ -137,7 +136,7 @@ def modified_energy(model: ModelSpec, u_curr: Field, u_prev: Field, tau: float) 
     """E(u_curr) + (1/(4*tau)) * ||u_curr - u_prev||^2, the two-step scheme's Lyapunov functional."""
     if u_curr.grid != u_prev.grid:
         raise ValueError("u_curr and u_prev live on different grids")
-    _check_positive("tau", tau)
+    tau = _check_positive("tau", tau)
     return _finite(energy(model, u_curr) + _increment_energy(u_curr.grid, u_curr.values, u_prev.values, tau),
                    "modified energy")
 
@@ -157,6 +156,6 @@ def rescale_general_to_standard(p: GeneralModelParams) -> StandardForm:
     diffusion coefficient, then map back via v(tau) = u(gamma*beta*tau)/beta.
     """
     gb = p.gamma * p.beta
-    standard_kappa = float(p.kappa) / math.sqrt(gb)  # no kappa^2, which underflows for a tiny kappa
+    standard_kappa = p.kappa / math.sqrt(gb)  # no kappa^2, which underflows for a tiny kappa
     _check_positive("standard_kappa", standard_kappa)
     return StandardForm(standard_kappa, gb, p.beta)

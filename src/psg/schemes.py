@@ -18,8 +18,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .grid import (Field, NonFiniteError, TorusGrid, _apply_multiplier, _block, _check_positive, _field,
-                   _helmholtz_multiplier, _helper, _step_state)
+from .grid import (Field, NonFiniteError, TorusGrid, _apply_multiplier, _block, _check_count, _check_positive,
+                   _field, _helmholtz_multiplier, _helper, _step_state)
 from .models import ModelSpec, _energy, _finite, _increment_energy, _reaction
 
 __all__ = [
@@ -33,14 +33,6 @@ __all__ = [
 # The most steps one run may take: over five hours even at 1D n=256 (~20 us a step). A longer
 # run is a mistyped --tfinal or --steps, and would otherwise step for years before failing.
 _MAX_STEPS = 10**9
-
-
-def _check_steps(n_steps: int) -> None:
-    """ValueError unless 1 <= n_steps <= _MAX_STEPS."""
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if n_steps > _MAX_STEPS:
-        raise ValueError(f"n_steps must be <= {_MAX_STEPS}, got {n_steps}")
 
 
 class SchemeKind(enum.Enum):
@@ -126,8 +118,7 @@ def _advance(grid: TorusGrid, u0: np.ndarray, model: ModelSpec, scheme: SchemeKi
     Unrecorded, each step but the last forms the next one's right-hand side in its last row stage, so a split
     step hands off twice; a record needs the whole new field and u_prev.
     """
-    _check_steps(n_steps)
-    _check_positive("tau", tau)
+    n_steps, tau = _check_count("n_steps", n_steps, 1, _MAX_STEPS), _check_positive("tau", tau)
     u, u_prev, bdf2 = u0, None, scheme is SchemeKind.BDF2
     # Step s writes ring[s % 2]: never u's slot; for bdf2 it is u_prev's, which
     # _bdf2_rhs reads before it writes there (u0 stays outside the ring).

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, TorusGrid, _apply_multiplier, _check_kappa, _check_positive, _real
+from .grid import (Field, TorusGrid, _apply_multiplier, _check_count, _check_finite, _check_kappa, _check_positive,
+                   _real, _scalar)
 
 __all__ = [
     "Regime",
@@ -86,7 +87,7 @@ def classify(C: float) -> Regime:
     C = 1 returns the kink regime; the same level set also contains the
     constants +-pi (CONSTANT_PI), which classify alone cannot distinguish.
     """
-    C = float(C)
+    C = _scalar(C, "C")
     if math.isnan(C):
         raise ValueError(f"C must be a number, got {C}")
     if C < -1.0 - SEPARATRIX_TOL:
@@ -102,23 +103,26 @@ def classify(C: float) -> Regime:
 
 def first_integral(u, du, kappa: float):
     """C = (1/2)*kappa^2*(u')^2 - cos(u); constant along exact orbits."""
-    _check_kappa(kappa)
+    kappa = _check_kappa(kappa)
     u, du = _real(u, "u"), _real(du, "du")
     out = 0.5 * kappa**2 * du**2 - np.cos(u)
     return float(out) if out.ndim == 0 else out
 
 
-def _check_kink(kappa: float, sign: int, c: float) -> None:
-    if sign not in (1, -1):
+def _check_kink(kappa: float, sign: int, c: float) -> tuple[float, float, float]:
+    """kappa, sign and c as floats, or ValueError unless sign is +-1, kappa passes _check_kappa and c is finite."""
+    sign = _scalar(sign, "sign")
+    if sign not in (1.0, -1.0):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    _check_kappa(kappa)
-    if not np.isfinite(c):
+    kappa, c = _check_kappa(kappa), _scalar(c, "c")
+    if not math.isfinite(c):
         raise ValueError(f"c must be finite, got {c}")
+    return kappa, sign, c
 
 
 def kink_eval(kappa: float, sign: int, c: float, x):
     """Separatrix profile sign * 2*arcsin(tanh(x/kappa + c)); values in (-pi, pi)."""
-    _check_kink(kappa, sign, c)
+    kappa, sign, c = _check_kink(kappa, sign, c)
     x = _real(x, "x")
     with np.errstate(over="ignore"):  # tanh(+-inf) = +-1 is the exact limit
         out = sign * 2.0 * np.arcsin(np.tanh(x / kappa + c))
@@ -127,7 +131,7 @@ def kink_eval(kappa: float, sign: int, c: float, x):
 
 def kink_derivative(kappa: float, sign: int, c: float, x):
     """Closed-form derivative of kink_eval: sign * (2/kappa) * sech(x/kappa + c)."""
-    _check_kink(kappa, sign, c)
+    kappa, sign, c = _check_kink(kappa, sign, c)
     x = _real(x, "x")
     with np.errstate(over="ignore"):  # 1/cosh(+-inf) = 0 is the exact limit
         out = sign * 2.0 / (kappa * np.cosh(x / kappa + c))
@@ -147,7 +151,7 @@ class SteadyStateCase:
     kappa: float
 
     def __post_init__(self) -> None:
-        _check_kappa(self.kappa)
+        self.__dict__.update(kappa=_check_kappa(self.kappa), C=_scalar(self.C, "C"))
         by_c = classify(self.C)
         if self.regime is Regime.NO_BOUNDED:
             raise RegimeError(f"no bounded solution exists for C = {self.C}")
@@ -224,14 +228,12 @@ def build_periodic_orbit(C: float, kappa: float, samples: int = 257) -> Periodic
     Closed form of the pendulum: sin(u/2) = sqrt(m)*sn(x/kappa - K(m) | m)
     with m = (1+C)/2 and period 4*kappa*K(m), sampled on [0, period/2].
     """
+    C = _scalar(C, "C")
     if classify(C) is not Regime.PERIODIC:
         raise RegimeError(f"C = {C} is not in the periodic regime -1 + {SEPARATRIX_TOL} < C < 1 - {SEPARATRIX_TOL} "
                           f"(within {SEPARATRIX_TOL} of -1 or 1, C is the zero or separatrix case)")
-    _check_kappa(kappa)
-    if samples < 5:
-        raise ValueError(f"samples must be >= 5, got {samples}")
-
-    case = SteadyStateCase(Regime.PERIODIC, float(C), float(kappa))
+    kappa, samples = _check_kappa(kappa), _check_count("samples", samples, 5)
+    case = SteadyStateCase(Regime.PERIODIC, C, kappa)
     m = (1.0 + C) / 2.0  # = sin^2(amplitude/2)
     # x/kappa - K runs over [-K, K] on the uniform grid: s = -1 .. 1 quarter periods
     K, sn = _jacobi_sn(np.linspace(-1.0, 1.0, samples), m)
@@ -267,6 +269,7 @@ def reflect_extend(x: np.ndarray, u: np.ndarray, mode: Reflection) -> tuple[np.n
         mirrored = -u[:0:-1]
     else:
         raise ValueError(f"unknown reflection mode {mode!r}")
+    _check_finite(np.stack((x, u)))  # NonFiniteError past the endpoint checks, which NaN fails as ReflectionError
     x_ext = np.concatenate((2.0 * x[0] - x[:0:-1], x))
     u_ext = np.concatenate((mirrored, u))
     return x_ext, u_ext
@@ -288,7 +291,7 @@ def residual(u, kappa: float, *, spacing: float | None = None, periodic: bool | 
     spectral for periodic samples, which must be an even count >= 4, and
     4th-order centered finite differences on the interior for windows.
     """
-    _check_kappa(kappa)
+    kappa = _check_kappa(kappa)
     if isinstance(u, Field):
         if spacing is not None:
             raise ValueError("a Field carries its own spacing; pass spacing only with a plain array")
@@ -298,9 +301,10 @@ def residual(u, kappa: float, *, spacing: float | None = None, periodic: bool | 
     else:
         if spacing is None:
             raise ValueError("plain arrays need an explicit spacing")
-        _check_positive("spacing", spacing)
+        spacing = _check_positive("spacing", spacing)
         periodic = False if periodic is None else periodic
     values = _real(u, "u", ndim=1)
+    _check_finite(values)  # NonFiniteError on both paths: NaN samples would give a NaN window residual
 
     if periodic:
         if len(values) < 4 or len(values) % 2:

@@ -148,6 +148,13 @@ class TestStabilitySweep:
         assert sweep.smallest_violating_tau() == 2.1
         assert all(np.isfinite(sweep.final_energies))
 
+    def test_float32_kappa_is_the_float_it_holds(self):
+        # a float32 kappa made the energies float32: tau = 0.1 read as violating from step 85 (excess 4.8e-7)
+        kappa = np.float32(0.1)
+        sweep, same = (stability_sweep(demo_config(kappa=k), [0.1, 2.0, 2.1]) for k in (kappa, float(kappa)))
+        assert [reports.energy.first_violation_step for reports in sweep.reports] == [None, None, 5]
+        assert repr(sweep) == repr(same)
+
     def test_single_tau_matches_direct_run(self):
         config = demo_config(t_final=10.0, tau=0.5)
         sweep = stability_sweep(config, [0.5])

@@ -1,5 +1,6 @@
 """Spectral infrastructure: grids, the transform pair, multiplier operators, quadrature."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -102,6 +103,16 @@ class TestField:
             Field(TorusGrid(1, 8), np.zeros(9))
         with pytest.raises(ValueError):
             Field(TorusGrid(2, 8), np.zeros(8))
+
+    def test_constant_takes_one_real_number(self):
+        # float(value) parsed the text "0.5" as a number and raised TypeError for complex, None or [0.5]
+        grid = TorusGrid(1, 8)
+        for value, message in (("0.5", "value must be real, got dtype <U3"),
+                               (0.5j, "value must be real, got dtype complex128"),
+                               ([0.5], "value must be a single number, got shape (1,)")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Field.constant(grid, value)
+        assert Field.constant(grid, np.float32(0.1)).values.tobytes() == np.full(8, float(np.float32(0.1))).tobytes()
 
     def test_complex_values_rejected(self):
         # a float64 cast kept only the real parts (1.0 here), with numpy's ComplexWarning

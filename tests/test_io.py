@@ -42,6 +42,13 @@ class TestSnapshots:
         write_snapshot(path2, loaded, t, kappa)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_header_numbers_must_be_finite(self, tmp_path):
+        field = Field.zeros(TorusGrid(1, 8))
+        for t, kappa, bad in ((np.inf, 0.5, "t"), (0.5, np.nan, "kappa"), (-np.inf, np.inf, "t")):
+            with pytest.raises(ValueError, match=f"^{bad} must be finite, got "):
+                write_snapshot(tmp_path / "snap.psg", field, t, kappa)
+        assert not (tmp_path / "snap.psg").exists()
+
     def test_write_copies_no_field(self, tmp_path):
         # The header and then the field's own buffer go to the file; the payload is
         # not copied to bytes (one copy would be 1 field size, header + payload 2).
@@ -222,6 +229,9 @@ class TestCsv:
         path = tmp_path / "profile.csv"
         write_profile_csv(path, np.array([0.0, 0.5]), np.array([1.0, -1.0]))
         assert path.read_text().splitlines() == ["x,u", "0,1", "0.5,-1"]
+        with pytest.raises(ValueError, match="^x and u must have equal lengths, got 2 and 3$"):
+            write_profile_csv(tmp_path / "unequal.csv", np.array([0.0, 0.5]), np.array([1.0, -1.0, 0.0]))
+        assert not (tmp_path / "unequal.csv").exists()
 
     def test_potential_table(self, tmp_path):
         path = tmp_path / "potentials.csv"

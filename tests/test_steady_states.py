@@ -15,6 +15,7 @@ from psg import (
     FirstIntegralError,
     ModelKind,
     ModelSpec,
+    NonFiniteError,
     Reflection,
     ReflectionError,
     Regime,
@@ -352,6 +353,14 @@ class TestReflectExtend:
         with pytest.raises(ReflectionError):
             reflect_extend(np.linspace(0.0, 1.0, 6), np.full(6, np.nan), mode)
 
+    @pytest.mark.parametrize("mode", list(Reflection), ids=lambda m: m.value)
+    def test_non_finite_samples_rejected(self, mode):
+        # past the five samples the endpoint checks read, an inf came back mirrored (as -inf for ODD)
+        x, u = np.linspace(0.0, 1.0, 6), np.zeros(6)
+        for xs, us in ((x, np.r_[u[:5], np.inf]), (np.r_[x[:5], np.inf], u), (x, np.r_[u[:5], np.nan])):
+            with pytest.raises(NonFiniteError, match="^non-finite field values$"):
+                reflect_extend(xs, us, mode)
+
 
 class TestResidual:
     def test_trivial_profiles(self):
@@ -373,6 +382,13 @@ class TestResidual:
         # a Field carries its own spacing: the one passed with it was silently ignored
         with pytest.raises(ValueError, match="^a Field carries its own spacing"):
             residual(Field.from_function(TorusGrid(1, 32), np.sin), 1.0, spacing=123.0)
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_non_finite_samples_rejected(self, periodic):
+        # the window path returned nan for NaN samples, where the periodic path raised
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonFiniteError, match="^non-finite field values$"):
+                residual(np.r_[np.zeros(7), bad], 0.5, spacing=0.1, periodic=periodic)
 
     def test_window_needs_five_samples(self):
         with pytest.raises(ValueError):
