@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import threading
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .config import ExperimentConfig, _steps_to, initial_field
-from .grid import _all_positive, _check_count, _check_positive, _cores, _real, _scalar
+from .grid import _all_positive, _check_count, _check_positive, _cores, _each, _real, _scalar, _threads
 from .schemes import SchemeKind, StepRecord, _advance
 
 __all__ = [
@@ -122,8 +121,8 @@ def stability_sweep(config: ExperimentConfig, tau_values: Sequence[float]) -> Sw
     are deterministic and independent of scheduling. Each tau runs
     config.steps_for(tau) steps. A failure for one tau (such as not dividing
     t_final) is recorded and does not abort the others; a bad initial field
-    raises before any run starts, and a KeyboardInterrupt starts no further
-    run and is raised once every thread has ended.
+    raises before any run starts, and a KeyboardInterrupt or SystemExit in
+    any thread starts no further run and is raised once every thread ended.
     """
     taus = tuple(_real(tau_values, "tau_values", ndim=1).tolist())
     if not _all_positive(taus):
@@ -144,21 +143,17 @@ def stability_sweep(config: ExperimentConfig, tau_values: Sequence[float]) -> Sw
 
     todo, results = collections.deque(range(len(taus))), [None] * len(taus)  # tau indices in input order
 
-    def work() -> None:
-        with contextlib.suppress(IndexError):  # until none is left; a deque's popleft is thread-safe
-            while True:
-                i = todo.popleft()
-                results[i] = one(taus[i])
+    def work(_) -> None:
+        try:
+            with contextlib.suppress(IndexError):  # until none is left; a deque's popleft is thread-safe
+                while True:
+                    i = todo.popleft()
+                    results[i] = one(taus[i])
+        finally:  # after a KeyboardInterrupt or another thread's failure, no thread starts another tau
+            todo.clear()
 
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
-    try:
-        work()  # the calling thread is a worker too
-    finally:  # after a KeyboardInterrupt in the calling thread, no thread starts another tau
-        todo.clear()
-        for thread in threads:
-            thread.join()
+    with _threads(workers) as helpers:  # the calling thread is a worker too
+        _each(helpers, range(workers), work)
     reports, energies, errors = zip(*results)
     return SweepResult(taus, reports, energies, errors)
 

@@ -43,6 +43,11 @@ class NonFiniteError(ValueError):
 def _scalar(value, name: str) -> float:
     """value as a Python float, the one rule for a public real number: _real's dtype rule (ValueError naming name)
     and one number, so a float32 in gives float64 arithmetic, and text, complex, None and [x] raise."""
+    if isinstance(value, int):  # not np.asarray's object array: too large for a float, it is the inf it overflows to
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf if value > 0 else -math.inf
     array = _real(value, name)
     if array.ndim:
         raise ValueError(f"{name} must be a single number, got shape {array.shape}")
@@ -51,8 +56,8 @@ def _scalar(value, name: str) -> float:
 
 def _check_count(name: str, value: int, least: int, most: int | None = None) -> int:
     """value as an int, the one rule for a public count: ValueError unless it is an integer (numpy's too) >= least
-    and, given most, <= most."""
-    if not isinstance(value, numbers.Integral):
+    and, given most, <= most. A bool is no count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
@@ -235,7 +240,7 @@ def _field(grid: TorusGrid, values: np.ndarray) -> Field:
 
 
 def _apply_multiplier(grid: TorusGrid, values, mult: np.ndarray, spec=None, out=None, gradient=False,
-                      helper=None, then=None) -> tuple[np.ndarray, float | None]:
+                      helpers=(), then=None) -> tuple[np.ndarray, float | None]:
     """values times mult (in out if given), and with gradient=True the result's -integral(v * Lap v) by Parseval.
 
     values is an array, or a function of a row range that forms those rows of the input and returns them;
@@ -243,17 +248,14 @@ def _apply_multiplier(grid: TorusGrid, values, mult: np.ndarray, spec=None, out=
     The solve runs in three stages, each over rows or columns of its own: rows (values, then rfft along the
     last axis), columns of the half spectrum (fft along axis 0, times mult, ifft) and rows (irfft, a check
     that those rows are finite and, given then, a row function like values, the next solve's row stage on
-    them, which that solve skips: its values is None). Given a helper (the queue pair _helper yields), each stage
-    of a 2D solve runs over two halves, the second on the helper; mult must then have the half spectrum's
-    shape. Without one, each stage runs over the whole range.
+    them, which that solve skips: its values is None). Given a helper (the list of one queue pair _threads(2)
+    yields), each stage of a 2D solve runs over two halves, the second on the helper; mult must then have the half
+    spectrum's shape. Given none (the empty list), each stage runs over the whole range.
     """
     mult = np.asarray(mult)
     spec = np.empty(grid._rfft_shape, dtype=np.complex128) if spec is None else spec
     out = np.empty(grid.shape) if out is None else out
-    if helper is None:
-        rows = cols = (...,)
-    else:
-        rows, cols = _halves(grid.n_per_axis), tuple((slice(None), c) for c in _halves(spec.shape[-1]))
+    rows, cols = (_halves(grid.n_per_axis), [(..., c) for c in _halves(spec.shape[-1])]) if helpers else ([...],) * 2
 
     def inverse(r):
         np.fft.irfft(spec[r], n=grid.n_per_axis, axis=-1, out=out[r])
@@ -263,7 +265,7 @@ def _apply_multiplier(grid: TorusGrid, values, mult: np.ndarray, spec=None, out=
 
     if values is not None:
         rows_of = values if callable(values) else values.__getitem__
-        _each(helper, rows, lambda r: np.fft.rfft(rows_of(r), axis=-1, out=spec[r]))
+        _each(helpers, rows, lambda r: np.fft.rfft(rows_of(r), axis=-1, out=spec[r]))
     # the Parseval terms go in out, free from the row stage's end until the inverse: one buffer of the half
     # spectrum's shape, which each column part fills in its columns and which is summed whole, and past it
     # the squared imaginary parts, as many whole spectrum rows at a time as the rest of out holds
@@ -272,9 +274,9 @@ def _apply_multiplier(grid: TorusGrid, values, mult: np.ndarray, spec=None, out=
         power = _block(out, spec.shape)
         rows_free = (out.size - spec.size) // math.prod(spec.shape[1:])
         squares = _block(out, (min(len(spec), rows_free),) + spec.shape[1:], start=spec.size)
-    _each(helper, cols, lambda c: _scale_columns(grid, spec, mult, power, squares, c))
+    _each(helpers, cols, lambda c: _scale_columns(grid, spec, mult, power, squares, c))
     total = None if power is None else float(power.sum()) * grid.spacing**grid.dim / grid.size
-    _each(helper, rows, inverse)
+    _each(helpers, rows, inverse)
     return out, total
 
 
@@ -312,18 +314,18 @@ def _halves(n: int) -> tuple[slice, slice]:
     return slice(0, n // 2), slice(n // 2, n)
 
 
-def _each(helper, parts, stage) -> None:
-    """stage(part) for each of one or two parts, the second on the helper, whose thread takes (stage, part) from
-    its first queue and puts None or what it raised on its second; returns when both are done, or raises."""
+def _each(helpers, parts, stage) -> None:
+    """stage(part) for each part, part 0 on the calling thread and part i on helpers[i - 1] (see _threads); returns
+    when every part is done, or then raises the first error of a part."""
     if len(parts) == 1:
         return stage(parts[0])
-    tasks, done = helper
-    tasks.put((stage, parts[1]))
+    for (tasks, _), part in zip(helpers, parts[1:], strict=True):
+        tasks.put((stage, part))
     try:
         stage(parts[0])
     finally:
-        error = done.get()
-    if error is not None:
+        errors = [done.get() for _, done in helpers]
+    for error in filter(None, errors):  # a helper's, in part order
         raise error
 
 
@@ -350,15 +352,11 @@ def _step_state() -> None:
 
 
 @contextlib.contextmanager
-def _helper(grid: TorusGrid, split: bool) -> Iterator[tuple[queue.SimpleQueue, queue.SimpleQueue] | None]:
-    """None where a run on grid keeps its solves on one thread (split=False, or not _splits(grid)); else the queue
-    pair of a thread that runs, under _step_state, the second part of each stage _each hands it until the block ends."""
-    if not (split and _splits(grid)):
-        yield None
-        return
-    tasks, done = queue.SimpleQueue(), queue.SimpleQueue()
+def _threads(count: int) -> Iterator[list[tuple[queue.SimpleQueue, queue.SimpleQueue]]]:
+    """The queue pairs of count - 1 helper threads, psg's only ones: each runs _step_state, then each (stage, part)
+    _each puts on its first queue, putting None or what it raised on its second, until the block ends."""
 
-    def serve():
+    def serve(tasks, done):
         _step_state()
         for stage, part in iter(tasks.get, None):
             try:
@@ -368,13 +366,17 @@ def _helper(grid: TorusGrid, split: bool) -> Iterator[tuple[queue.SimpleQueue, q
             else:
                 done.put(None)
 
-    thread = threading.Thread(target=serve, daemon=True)  # a stream left open at exit must not block it
-    thread.start()
+    helpers, threads = [(queue.SimpleQueue(), queue.SimpleQueue()) for _ in range(count - 1)], []
     try:
-        yield tasks, done
+        for pair in helpers:  # daemons: a stream left open at exit must not block it
+            thread = threading.Thread(target=serve, args=pair, daemon=True)
+            thread.start()
+            threads.append(thread)
+        yield helpers
     finally:
-        tasks.put(None)
-        thread.join()
+        for (tasks, _), thread in zip(helpers, threads):  # each helper that started
+            tasks.put(None)
+            thread.join()
 
 
 def laplacian(f: Field) -> Field:

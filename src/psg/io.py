@@ -91,6 +91,8 @@ def read_snapshot(path) -> tuple[Field, float, float]:
         raise SnapshotFormatError(f"anisotropic axis sizes {sizes} at offset 8 are unsupported")
     need(16, offset, "t/kappa header")
     t, kappa = struct.unpack_from("<dd", raw, offset)
+    if not (math.isfinite(t) and math.isfinite(kappa)):  # write_snapshot's rule
+        raise SnapshotFormatError(f"non-finite t/kappa header ({t}, {kappa}) at offset {offset}")
     offset += 16
     count = math.prod(sizes)  # a Python int: np.prod wraps in int64
     need(8 * count, offset, "payload")

@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .grid import (Field, NonFiniteError, TorusGrid, _apply_multiplier, _block, _check_count, _check_positive,
-                   _field, _helmholtz_multiplier, _helper, _step_state)
+                   _field, _helmholtz_multiplier, _splits, _step_state, _threads)
 from .models import ModelSpec, _energy, _finite, _increment_energy, _reaction
 
 __all__ = [
@@ -113,7 +113,7 @@ def _advance(grid: TorusGrid, u0: np.ndarray, model: ModelSpec, scheme: SchemeKi
     field or diagnostic raises NonFiniteError naming it and its step. Each u is one of the two ring arrays this
     generator owns, valid only until the next advance; it also owns a half spectrum, one multiplier and, for bdf2,
     the one array that carries f(u) to the next step (3.5 field sizes, 4.5 for bdf2). Where _splits(grid) holds,
-    each solve runs its halves on this thread and on the helper thread _helper gives the generator until it ends
+    each solve runs its halves on this thread and on the helper thread _threads gives the generator until it ends
     (split=False keeps every step on this thread), bitwise the same, each thread carrying f in its own rows.
     Unrecorded, each step but the last forms the next one's right-hand side in its last row stage, so a split
     step hands off twice; a record needs the whole new field and u_prev.
@@ -139,8 +139,8 @@ def _advance(grid: TorusGrid, u0: np.ndarray, model: ModelSpec, scheme: SchemeKi
         return _imex1_rhs(model, tau, u, f if bdf2 else out, out)  # BDF2 kick-starts with imex1
 
     then = None  # a step given then forms the next one's right-hand side in spec, as its last row stage
-    # the helper (None where the run does not split) ends when the generator does: exhausted, closed, or raising
-    with _helper(grid, split) as helper:
+    # the helper (none where the run does not split) ends when the generator does: exhausted, closed, or raising
+    with _threads(2 if split and _splits(grid) else 1) as helpers:
         for step in range(1, n_steps + 1):
             out = ring[step % 2]
             rows = None if then else rhs(step, u, u_prev)
@@ -149,7 +149,7 @@ def _advance(grid: TorusGrid, u0: np.ndarray, model: ModelSpec, scheme: SchemeKi
             try:  # the block closes before the yield: the caller's code between steps keeps its own numpy state
                 with np.errstate():
                     _step_state()
-                    u_next, gradient = _apply_multiplier(grid, rows, mult, spec, out, record, helper, then)
+                    u_next, gradient = _apply_multiplier(grid, rows, mult, spec, out, record, helpers, then)
                     row = _record(model, grid, tau, step, u_next, u, gradient, scratch) if record else None
             except NonFiniteError as exc:
                 raise NonFiniteError(f"{exc} at step {step}") from exc

@@ -305,6 +305,31 @@ class TestStabilitySweep:
         assert threading.active_count() == baseline
         assert sorted(started) == taus[:2]
 
+    def test_worker_exit_reaches_the_caller(self, monkeypatch):
+        # A SystemExit in the worker's member ends that worker, lets the calling thread finish the
+        # member it holds, starts none of the taus left, leaves no thread running and reaches the
+        # caller, as a KeyboardInterrupt in the calling thread's member does.
+        taus = [0.1, 0.2, 0.3, 0.4]
+        started, worker_started = [], threading.Event()
+        caller = threading.get_ident()
+
+        def advance(grid, u0, model, scheme, tau, *args, **kwargs):
+            started.append(tau)
+            if threading.get_ident() != caller:
+                worker_started.set()
+                raise SystemExit(7)
+            assert worker_started.wait(timeout=30)
+            time.sleep(0.05)  # the worker gets to its cleanup first
+            return psg.schemes._advance(grid, u0, model, scheme, tau, *args, **kwargs)
+        monkeypatch.setattr(psg.diagnostics, "_cores", lambda: 2)
+        monkeypatch.setattr(psg.diagnostics, "_advance", advance)
+        baseline = threading.active_count()
+        with pytest.raises(SystemExit) as raised:
+            stability_sweep(demo_config(n_per_axis=16, t_final=None, n_steps=3), taus)
+        assert raised.value.code == 7
+        assert threading.active_count() == baseline
+        assert sorted(started) == taus[:2]
+
     @pytest.mark.parametrize("cores", [2, 1])
     def test_caller_errstate_does_not_reach_members(self, cores, monkeypatch):
         # Members step under their own numpy state, also on the calling thread: under

@@ -1,5 +1,6 @@
 """File formats: snapshots, heatmaps, CSV emission."""
 
+import re
 import struct
 import tracemalloc
 
@@ -103,6 +104,22 @@ class TestSnapshots:
             read_snapshot(path)
         argv = ["run", "--model", "sg", "--scheme", "imex1", "--dim", "2", "--kappa", "0.1", "--tau", "0.1",
                 "--n", "16", "--steps", "1", "--init", str(path), "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("t,kappa", [(np.nan, 1.0), (0.0, np.inf), (-np.inf, np.nan)])
+    def test_non_finite_header(self, t, kappa, dim, tmp_path, capsys):
+        # write_snapshot refuses a non-finite t or kappa, and read_snapshot returned one
+        path = tmp_path / "bad.psg"
+        path.write_bytes(b"PSG1" + struct.pack(f"<HH{dim}I", 1, dim, *(4,) * dim) + struct.pack("<dd", t, kappa)
+                         + b"\x00" * 8 * 4**dim)
+        message = f"non-finite t/kappa header ({t}, {kappa}) at offset {8 + 4 * dim}"
+        with pytest.raises(SnapshotFormatError, match=f"^{re.escape(message)}$"):
+            read_snapshot(path)
+        argv = ["run", "--model", "sg", "--scheme", "imex1", "--dim", str(dim), "--kappa", "0.1", "--tau", "0.1",
+                "--n", "4", "--steps", "1", "--init", str(path), "--out", str(tmp_path / "x")]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x").exists()

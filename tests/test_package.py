@@ -171,7 +171,8 @@ def _number_cases():
     for rows, is_count in ((SCALAR_ARGUMENTS, False), (COUNT_ARGUMENTS, True)):
         for fn, arg, x, call in rows:
             bad = {"text": str(x), "none": None, "list": [x]}
-            bad.update({"float": x + 0.5, "integral-float": float(x)} if is_count else {"complex": complex(x)})
+            bad.update({"float": x + 0.5, "integral-float": float(x), "bool": True} if is_count
+                       else {"complex": complex(x)})
             if (fn.__name__, arg) in NONE_MEANS_ABSENT:
                 del bad["none"]
             for case, value in bad.items():
@@ -188,6 +189,24 @@ def _number_cases():
 def test_public_number_contract(call, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+def _outcome(call, value):
+    """What call(value) raises (its type and message), or the exact content of what it returns."""
+    try:
+        return _bits(call(value))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("fn, arg, x, call", [pytest.param(*row, id=f"{row[0].__name__}-{row[1]}")
+                                              for row in SCALAR_ARGUMENTS])
+@pytest.mark.parametrize("sign", [1, -1], ids=["huge-int", "huge-negative-int"])
+def test_huge_int_scalar_is_the_inf_it_overflows_to(fn, arg, x, call, sign):
+    """A Python int too large for a float meets the range rule as +-inf, not the dtype rule as an object array."""
+    outcome = _outcome(call, sign * 10**400)
+    assert outcome == _outcome(call, sign * float("inf"))
+    assert "dtype" not in repr(outcome)
 
 
 @pytest.mark.parametrize("fn, arg, x, call", [pytest.param(*row, id=f"{row[0].__name__}-{row[1]}")

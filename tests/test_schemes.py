@@ -675,12 +675,12 @@ class TestRun:
         spec, out = np.empty(grid._rfft_shape, dtype=np.complex128), np.empty(grid.shape)
         mult = _helmholtz_multiplier(grid, 0.5, 1.0, 0.1).astype(np.complex128)
 
-        with psg.grid._helper(grid, split) as helper:
+        with psg.grid._threads(2 if split else 1) as helpers:
             def solve():
                 with np.errstate():
                     psg.grid._step_state()
-                    _apply_multiplier(grid, u, mult, spec, out, True, helper)
-            assert (helper is not None) == split
+                    _apply_multiplier(grid, u, mult, spec, out, True, helpers)
+            assert len(helpers) == split
             assert peak_fields_after_warmup(grid, solve) <= 0.25
 
     @pytest.mark.parametrize("scheme,n,parts", [  # 256 splits each solve's rows in two
